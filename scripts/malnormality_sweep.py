@@ -22,16 +22,13 @@ def main() -> None:
     ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5])
     ap.add_argument("--k", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--max-syllables", type=int, default=6)
-    ap.add_argument("--workers", type=int,
-                    default=int(os.environ.get("RELPRES_WORKERS", "1")))
     args = ap.parse_args()
 
     for order in args.orders:
         group = cyclic_group(order)
         for k in args.k:
             t0 = time.monotonic()
-            rep = malnormality_oracle(group, 1, k, args.max_syllables,
-                                      workers=args.workers)
+            rep = malnormality_oracle(group, 1, k, args.max_syllables)
             verdict = "malnormal" if rep.holds else f"VIOLATION {rep.counterexample}"
             print(f"Z/{order} k={k} L={args.max_syllables}: {verdict} "
                   f"({rep.checked} checks, {time.monotonic() - t0:.1f}s)")

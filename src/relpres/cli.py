@@ -243,8 +243,7 @@ def cmd_conjugacy_reduce(args) -> int:
 def cmd_conjugacy_oracle(args) -> int:
     group = _load_group(args.group)
     g = group.index_of(args.g)
-    workers = args.workers or int(os.environ.get("RELPRES_WORKERS", "1"))
-    rep = malnormality_oracle(group, g, args.k, args.max_syllables, workers=workers)
+    rep = malnormality_oracle(group, g, args.k, args.max_syllables)
     result = {
         "malnormal_at_bound": rep.holds,
         "checked": rep.checked,
@@ -278,12 +277,11 @@ def cmd_search_enumerate(args) -> int:
     pres = RelPresentation.from_file(args.pres)
     config = EnumerationConfig(pres, max_interior_faces=args.max_faces,
                                digon_syllables=args.digon_syllables)
-    workers = args.workers or int(os.environ.get("RELPRES_WORKERS", "1"))
     try:
         if args.brute_force:
             res = brute_force_enumerate(config)
         else:
-            res = enumerate_diagrams(config, workers=workers)
+            res = enumerate_diagrams(config)
     except SearchBoundExceeded as exc:
         return _emit(args, [args.pres], RESOURCE, {"error": str(exc)})
     survivors = []
@@ -380,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--g", required=True)
     orc.add_argument("--k", type=int, required=True)
     orc.add_argument("--max-syllables", type=int, default=4)
-    orc.add_argument("--workers", type=int)
     orc.add_argument("--out")
     orc.set_defaults(func=cmd_conjugacy_oracle)
     cen = conj.add_parser("center")
@@ -395,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--max-faces", type=int, default=2)
     enu.add_argument("--digon-syllables", type=int, default=1)
     enu.add_argument("--brute-force", action="store_true")
-    enu.add_argument("--workers", type=int)
     enu.add_argument("--out")
     enu.set_defaults(func=cmd_search_enumerate)
     return parser

@@ -163,9 +163,6 @@ class FreeProductModel:
         if self.k < 2:
             raise ValueError("k must be >= 2")
 
-    def one(self) -> tuple:
-        return ()
-
     def normalize(self, letters) -> tuple:
         out: list[tuple[str, int]] = []
         for kind, val in letters:
@@ -243,39 +240,22 @@ class MalnormalityReport:
     checked: int
 
 
-def malnormality_oracle(group: GroupTable, g: int, k: int, max_syllables: int,
-                        workers: int = 1) -> MalnormalityReport:
+def malnormality_oracle(group: GroupTable, g: int, k: int,
+                        max_syllables: int) -> MalnormalityReport:
     """Exhaustive check that the base group meets its conjugates trivially
     in G * Z_k, over all conjugators of bounded syllable length."""
     model = single_letter_model(group, g, k)
-    words = [u for u in model.words_up_to(max_syllables)
-             if not model.in_base_group(u)]
-    if workers > 1:
-        import multiprocessing as mp
-        chunk = (len(words) + workers - 1) // workers
-        jobs = [(model, words[i:i + chunk]) for i in range(0, len(words), chunk)]
-        with mp.Pool(workers) as pool:
-            results = pool.map(_oracle_chunk, jobs)
-        checked = sum(r[0] for r in results)
-        for _count, bad in results:
-            if bad is not None:
-                return MalnormalityReport(False, bad, checked)
-        return MalnormalityReport(True, None, checked)
-    count, bad = _oracle_chunk((model, words))
-    return MalnormalityReport(bad is None, bad, count)
-
-
-def _oracle_chunk(job) -> tuple[int, tuple | None]:
-    model, words = job
     checked = 0
-    for u in words:
+    for u in model.words_up_to(max_syllables):
+        if model.in_base_group(u):
+            continue
         u_inv = model.inv(u)
-        for h in model.group.nontrivial():
+        for h in group.nontrivial():
             value = model.mul(model.mul(u_inv, (("G", h),)), u)
             checked += 1
             if model.in_base_group(value):
-                return checked, (u, h, value)
-    return checked, None
+                return MalnormalityReport(False, (u, h, value), checked)
+    return MalnormalityReport(True, None, checked)
 
 
 @dataclass(frozen=True)
@@ -317,7 +297,6 @@ def center_certificate(pres: RelPresentation) -> CenterReport:
             ok = ok and distinct and copy_index == 1
     else:
         # single-letter relators: check in the free-product model
-        inner = pres.inner_word()
         model = None
         if pres.m == -1 and len(pres.c.letters) == 1:
             model = single_letter_model(group, pres.c.letters[0].element, pres.k)

@@ -21,10 +21,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .freeprod import FPWord, FreeProduct
 from .groups import GroupTable
+from . import maps
+from .maps import CornerRef
 from .presentation import RelPresentation
 from .words import TWord, cyclic_equal, from_items, word_str, parse_h_word
 
-CornerRef = tuple[int, int]          # (face index, slot index)
 WeightAssignment = Mapping[CornerRef, Fraction]
 
 
@@ -103,7 +104,8 @@ class Diagram:
         if any(not (0 <= f < len(self.faces)) for f in self.exterior_faces):
             raise DiagramError("exterior face index out of range")
 
-        self.vertices: tuple[tuple[CornerRef, ...], ...] = self._compute_vertices()
+        self.vertices: tuple[tuple[CornerRef, ...], ...] = tuple(maps.corner_cycles(
+            [[slot.dart for slot in face] for face in self.faces], self.pairing))
         self.vertex_of_corner: dict[CornerRef, int] = {}
         for vi, orbit in enumerate(self.vertices):
             for ref in orbit:
@@ -130,54 +132,25 @@ class Diagram:
             if self.pairing.get(e) != d:
                 raise DiagramError(f"pairing is not an involution at dart {d}")
 
-    def _next_corner(self, ref: CornerRef) -> CornerRef:
-        fi, si = ref
-        face = self.faces[fi]
-        next_dart = face[(si + 1) % len(face)].dart
-        return self.slot_of_dart[self.pairing[next_dart]]
-
-    def _compute_vertices(self) -> tuple[tuple[CornerRef, ...], ...]:
-        seen = set()
-        orbits = []
-        for fi, face in enumerate(self.faces):
-            for si in range(len(face)):
-                ref = (fi, si)
-                if ref in seen:
-                    continue
-                orbit = [ref]
-                seen.add(ref)
-                cur = self._next_corner(ref)
-                while cur != ref:
-                    orbit.append(cur)
-                    seen.add(cur)
-                    cur = self._next_corner(cur)
-                orbits.append(tuple(orbit))
-        return tuple(sorted(orbits, key=lambda o: min(o)))
-
     def corner(self, ref: CornerRef) -> FPWord:
         return self.faces[ref[0]][ref[1]].corner
+
+    def head(self, dart: int) -> int:
+        """Vertex at the head of a dart."""
+        return self.vertex_of_corner[self.slot_of_dart[dart]]
+
+    def tail(self, dart: int) -> int:
+        """Vertex at the tail of a dart: the head of its face predecessor."""
+        fi, si = self.slot_of_dart[dart]
+        return self.vertex_of_corner[(fi, (si - 1) % len(self.faces[fi]))]
 
     def sense(self, dart: int) -> int:
         """+1 when the face traversal follows the edge arrow."""
         return 1 if self.arrow_of_edge[self.edge_of_dart[dart]] == dart else -1
 
     def components(self) -> list[frozenset[int]]:
-        parent = list(range(len(self.faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d, e in self.pairing.items():
-            a, b = find(self.slot_of_dart[d][0]), find(self.slot_of_dart[e][0])
-            if a != b:
-                parent[a] = b
-        groups: dict[int, set[int]] = {}
-        for f in range(len(self.faces)):
-            groups.setdefault(find(f), set()).add(f)
-        return [frozenset(g) for g in groups.values()]
+        return [frozenset(c) for c in maps.components(len(self.faces), (
+            (self.slot_of_dart[d][0], self.slot_of_dart[e][0]) for d, e in self.pairing.items()))]
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

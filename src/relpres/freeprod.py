@@ -86,9 +86,6 @@ class FreeProduct:
     def from_name(self, name: str, copy_index: int = 0) -> "FPWord":
         return self.letter(copy_index, self.group.index_of(name))
 
-    def all_letters(self) -> list["FPWord"]:
-        return [self.letter(i, x) for i in self.copies for x in self.group.nontrivial()]
-
     def words_up_to(self, syllables: int, indices: Sequence[int] | None = None) -> list["FPWord"]:
         """All normal-form words with at most the given syllable count."""
         if indices is None:
@@ -194,9 +191,6 @@ class FPWord:
     def max_copy_index(self) -> int:
         """Largest copy index present; -1 for the identity."""
         return max((l.copy_index for l in self.letters), default=-1)
-
-    def syllables(self) -> tuple[FactorLetter, ...]:
-        return self.letters
 
     def order(self) -> int | float:
         """Order of the element in the free product.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .diagram import (Diagram, Slot, classify_face, digon_adjacencies,
                       is_phi_reduced, reducible_pairs, validate_howie)
 from .freeprod import FPWord, FreeProduct, conjugate_in_free_product
+from .maps import components, corner_cycles
 from .presentation import RelPresentation
 from .words import TWord
 
@@ -101,34 +102,11 @@ class MutableDiagram:
     def edge_label(self, dart: int) -> str:
         return self.label[frozenset((dart, self.pairing[dart]))]
 
-    def vertices(self) -> list[list[tuple[int, int]]]:
-        refs = [(fid, si) for fid, slots in sorted(self.faces.items())
-                for si in range(len(slots))]
-        slot_of = {self.faces[fid][si].dart: (fid, si) for fid, si in refs}
-        seen: set[tuple[int, int]] = set()
-        orbits = []
-        for ref in refs:
-            if ref in seen:
-                continue
-            orbit = []
-            cur = ref
-            while cur not in seen:
-                seen.add(cur)
-                orbit.append(cur)
-                fid, si = cur
-                slots = self.faces[fid]
-                nxt_dart = slots[(si + 1) % len(slots)].dart
-                cur = slot_of[self.pairing[nxt_dart]]
-            orbits.append(orbit)
-        return orbits
-
-    def vertex_of(self, dart: int) -> int:
-        """Head vertex index of a dart within self.vertices() numbering."""
-        target = self.slot_ref(dart)
-        for vi, orbit in enumerate(self.vertices()):
-            if target in orbit:
-                return vi
-        raise MoveError("unreachable")
+    def vertex_slots(self) -> list[list[MSlot]]:
+        """The slots around each vertex, in corner-rotation order."""
+        faces = [self.faces[fid] for fid in sorted(self.faces)]
+        return [[faces[fi][si] for fi, si in orbit] for orbit in corner_cycles(
+            [[s.dart for s in slots] for slots in faces], self.pairing)]
 
     def to_diagram(self) -> Diagram:
         order = sorted(self.faces)
@@ -245,18 +223,14 @@ def collapse_trivial_bigon(builder: MutableDiagram, fid: int) -> None:
         raise MoveError("bigon corners are not trivial")
     if a.mark or b.mark:
         # allowed when the marked vertex keeps other (marked) corners
-        for orbit in builder.vertices():
-            holds = [builder.faces[f][s] for f, s in orbit]
-            if (a in holds or b in holds) and len(holds) == 1:
-                raise MoveError("collapse would delete a marked vertex")
+        if any(len(orbit) == 1 and orbit[0] in (a, b) for orbit in builder.vertex_slots()):
+            raise MoveError("collapse would delete a marked vertex")
     la = builder.edge_label(a.dart)
     lb = builder.edge_label(b.dart)
     if la != lb:
         raise MoveError("bigon sides carry different labels")
     pa = builder.pairing[a.dart]
     pb = builder.pairing[b.dart]
-    arrow_partner = pa if (a.dart not in builder.arrow and pa not in builder.arrow
-                           ) is False else pa
     keep_arrow = None
     if pa in builder.arrow:
         keep_arrow = pa
@@ -312,8 +286,6 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
         raise MoveError("edge label is not the identity")
     f1, i1 = diagram.slot_of_dart[d1]
     f2, i2 = diagram.slot_of_dart[d2]
-    head1 = diagram.vertex_of_corner[(f1, i1)]
-    tail1 = diagram.vertex_of_corner[(f1, (i1 - 1) % len(diagram.faces[f1]))]
     builder = MutableDiagram.from_diagram(diagram)
     mono = [(f, i) for f, i in ((f1, i1), (f2, i2)) if len(diagram.faces[f]) == 1]
     if mono:
@@ -331,7 +303,7 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
         if collapse_bigons:
             _collapse_new_trivial_bigons(builder, [fo])
         return PullResult("contracted", (builder.to_diagram(),))
-    if head1 != tail1:
+    if diagram.head(d1) != diagram.tail(d1):
         builder.unpair(d1)
         if f1 == f2:
             hi, lo = max(i1, i2), min(i1, i2)
@@ -383,19 +355,11 @@ def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> P
         return any(s.mark for slots in b.faces.values() for s in slots)
 
     def pinch_label(b: MutableDiagram, corner: MSlot) -> FPWord:
-        ref = None
-        for fid, slots in b.faces.items():
-            for si, s in enumerate(slots):
-                if s is corner:
-                    ref = (fid, si)
-        assert ref is not None
-        for orbit in b.vertices():
-            if ref in orbit:
-                out = b.ambient.one()
-                for fid, si in orbit:
-                    out = out * b.faces[fid][si].corner
-                return out
-        raise MoveError("unreachable")
+        orbit = next(o for o in b.vertex_slots() if any(s is corner for s in o))
+        out = b.ambient.one()
+        for s in orbit:
+            out = out * s.corner
+        return out
 
     sides = []
     for comp in comps:
@@ -428,24 +392,12 @@ def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> P
 
 def _split_components(builder: MutableDiagram) -> list[MutableDiagram]:
     fids = sorted(builder.faces)
-    parent = {f: f for f in fids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    slot_face = {s.dart: fid for fid, slots in builder.faces.items() for s in slots}
-    for da, db in builder.pairing.items():
-        ra, rb = find(slot_face[da]), find(slot_face[db])
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for f in fids:
-        groups.setdefault(find(f), []).append(f)
+    index = {s.dart: i for i, fid in enumerate(fids) for s in builder.faces[fid]}
+    groups = components(len(fids), ((index[da], index[db])
+                                    for da, db in builder.pairing.items()))
     out = []
-    for members in groups.values():
+    for group in groups:
+        members = [fids[i] for i in group]
         part = MutableDiagram(builder.ambient)
         part._next_dart = builder._next_dart
         part._next_face = builder._next_face
@@ -759,22 +711,15 @@ def glue_cyclic_copies(diagram: Diagram, cut_path: list[int], s: int) -> GlueRes
     if len(ext) != 2:
         raise MoveError("cyclic gluing needs exactly two exterior vertices")
 
-    def head(d: int) -> int:
-        return diagram.vertex_of_corner[diagram.slot_of_dart[d]]
-
-    def tail(d: int) -> int:
-        f, i = diagram.slot_of_dart[d]
-        return diagram.vertex_of_corner[(f, (i - 1) % len(diagram.faces[f]))]
-
     if not cut_path:
         raise MoveError("empty cut path")
-    visited = [tail(cut_path[0])]
+    visited = [diagram.tail(cut_path[0])]
     for d in cut_path:
         if d not in diagram.slot_of_dart:
             raise MoveError(f"unknown dart {d} in cut path")
-        if tail(d) != visited[-1]:
+        if diagram.tail(d) != visited[-1]:
             raise MoveError("cut path is not connected")
-        visited.append(head(d))
+        visited.append(diagram.head(d))
     if visited[0] not in ext or visited[-1] not in ext or visited[0] == visited[-1]:
         raise MoveError("cut path must join the two exterior vertices")
     if len(set(visited)) != len(visited):
@@ -840,13 +785,6 @@ def glue_cyclic_copies(diagram: Diagram, cut_path: list[int], s: int) -> GlueRes
 # -- thickening ---------------------------------------------------------------
 
 
-class _PendingCap:
-    """Side of an interior-point polygon awaiting its strip."""
-
-    def __init__(self, dart: int):
-        self.dart = dart
-
-
 def thicken(diagram: Diagram) -> Diagram:
     """Thicken the doubly-exterior part of the one-skeleton.
 
@@ -870,29 +808,12 @@ def thicken(diagram: Diagram) -> Diagram:
                     if diagram.slot_of_dart[d1][0] == ext
                     and diagram.slot_of_dart[d2][0] == ext]
 
-    def head(d: int) -> int:
-        return diagram.vertex_of_corner[diagram.slot_of_dart[d]]
-
-    def tail(d: int) -> int:
-        f, i = diagram.slot_of_dart[d]
-        return diagram.vertex_of_corner[(f, (i - 1) % len(diagram.faces[f]))]
-
-    # forest check over marked edges
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ei in marked_edges:
-        d1, _ = diagram.edges[ei]
-        a, b = find(head(d1)), find(tail(d1))
-        if a == b:
-            raise MoveError("marked graph is not a forest")
-        parent[a] = b
+    # a graph is a forest when each of its edges joins two components
+    n = len(diagram.vertices)
+    links = [(diagram.head(diagram.edges[ei][0]), diagram.tail(diagram.edges[ei][0]))
+             for ei in marked_edges]
+    if len(components(n, links)) != n - len(links):
+        raise MoveError("marked graph is not a forest")
 
     def vertex_class(v: int) -> str:
         if v not in marked_vertices:
@@ -908,7 +829,7 @@ def thicken(diagram: Diagram) -> Diagram:
     incident: dict[int, list[int]] = {}
     for ei in marked_edges:
         d1, _ = diagram.edges[ei]
-        for v in (head(d1), tail(d1)):
+        for v in (diagram.head(d1), diagram.tail(d1)):
             incident.setdefault(v, []).append(ei)
     unused = set(marked_edges)
     paths: list[list[int]] = []   # each path: list of along-direction darts
@@ -924,11 +845,11 @@ def thicken(diagram: Diagram) -> Diagram:
             while True:
                 unused.discard(edge)
                 d1, d2 = diagram.edges[edge]
-                dart = d1 if tail(d1) == cur else d2
-                if tail(dart) != cur:
+                dart = d1 if diagram.tail(d1) == cur else d2
+                if diagram.tail(dart) != cur:
                     raise MoveError("marked edge endpoints inconsistent")
                 steps.append(dart)
-                cur = head(dart)
+                cur = diagram.head(dart)
                 if vertex_class(cur) != "path" or len(incident[cur]) != 2:
                     break
                 edge = next(e for e in incident[cur] if e in unused)
@@ -950,8 +871,9 @@ def thicken(diagram: Diagram) -> Diagram:
         assert fid == ext
         return ext_slots[si]
 
-    # polygons at interior branch points; pending caps per (vertex, leaving dart)
-    pending: dict[tuple[int, int], _PendingCap] = {}
+    # polygons at interior branch points; the dart of the ring side awaiting
+    # its strip, per (vertex, leaving dart)
+    pending: dict[tuple[int, int], int] = {}
     ngon_vertices = [v for v in sorted(incident) if vertex_class(v) == "ngon"]
     for p in ngon_vertices:
         _build_polygon(diagram, builder, ext, p, pending)
@@ -1015,13 +937,11 @@ def _build_polygon(diagram: Diagram, builder: MutableDiagram, ext: int,
             MSlot(spoke_in[(j - 1) % n], diagram.ambient.one()),
         ])
     # the leaving dart between corners r_{j-1} and r_j gets cap side_j
-    ext_darts = [diagram.faces[ext][si].dart for (fi, si) in orbit]
     for j in range(n):
         ref = orbit[j]
         fi, si = ref
         leaving = diagram.faces[ext][(si + 1) % len(diagram.faces[ext])].dart
-        pending[(p, leaving)] = _PendingCap(side_outer[(j + 1) % n])
-    del ext_darts
+        pending[(p, leaving)] = side_outer[(j + 1) % n]
 
 
 def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
@@ -1040,15 +960,8 @@ def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
     one = amb.one()
     k = len(steps)
 
-    def head(d: int) -> int:
-        return diagram.vertex_of_corner[diagram.slot_of_dart[d]]
-
-    def tail(d: int) -> int:
-        f, i = diagram.slot_of_dart[d]
-        return diagram.vertex_of_corner[(f, (i - 1) % len(diagram.faces[f]))]
-
-    v_start = tail(steps[0])
-    v_end = head(steps[-1])
+    v_start = diagram.tail(steps[0])
+    v_end = diagram.head(steps[-1])
     start_kind = vertex_class(v_start)
     end_kind = vertex_class(v_end)
 
@@ -1064,7 +977,7 @@ def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
         insert_before.setdefault(dA[0], []).append(MSlot(g0, one))
         cap_start = ubar0
     elif start_kind == "ngon":
-        cap_start = pending.pop((v_start, dA[0])).dart
+        cap_start = pending.pop((v_start, dA[0]))
     # end cap dart for T1_k (head = end's L side), if any
     cap_end = None
     if end_kind == "pinch":
@@ -1078,7 +991,7 @@ def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
         insert_after.setdefault(dA[-1], []).append(moved)
         cap_end = uk
     elif end_kind == "ngon":
-        cap_end = pending.pop((v_end, dB[-1])).dart
+        cap_end = pending.pop((v_end, dB[-1]))
 
     # rungs between consecutive edges
     rung_u = {}

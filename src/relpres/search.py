@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .diagram import (Diagram, DiagramError, Slot, curvature_weights,
                       is_phi_reduced, validate_howie)
 from .freeprod import FPWord
+from .maps import corner_cycles
 from .presentation import RelPresentation
 
 
@@ -78,64 +79,42 @@ def _balanced_multisets(templates: list[FaceTemplate], max_faces: int):
                 yield [templates[i] for i in combo]
 
 
-def _assemble(ambient, multiset: list[FaceTemplate], matching: dict[int, int],
-              plus_info, minus_info) -> Diagram:
-    faces = []
-    dart = 0
-    darts_of_face = []
-    for tpl in multiset:
-        ids = list(range(dart, dart + len(tpl.signs)))
-        darts_of_face.append(ids)
-        dart += len(tpl.signs)
-        faces.append([Slot(d, c) for d, c in zip(ids, tpl.corners)])
-    pairing = {}
-    arrows = []
-    for pi, mi in matching.items():
-        a = plus_info[pi]
-        b = minus_info[mi]
-        pairing[a] = b
-        pairing[b] = a
-        arrows.append(a)
-    return Diagram(ambient, faces, pairing, arrows)
-
-
-def _dart_table(multiset: list[FaceTemplate]):
-    plus_info = []
-    minus_info = []
+def _dart_layout(multiset: list[FaceTemplate]):
+    """Slots of the multiset's faces, darts numbered face by face from 0,
+    and the along-arrow (plus) and against-arrow (minus) darts."""
+    faces: list[list[Slot]] = []
+    plus: list[int] = []
+    minus: list[int] = []
     dart = 0
     for tpl in multiset:
+        faces.append([Slot(dart + i, c) for i, c in enumerate(tpl.corners)])
         for e in tpl.signs:
-            (plus_info if e == 1 else minus_info).append(dart)
+            (plus if e == 1 else minus).append(dart)
             dart += 1
-    return plus_info, minus_info
+    return faces, plus, minus
 
 
-def _survivor(diagram: Diagram, pres: RelPresentation) -> bool:
+def _multiset_key(multiset: list[FaceTemplate]) -> tuple[str, ...]:
+    return tuple(t.kind + ("" if t.word is None else f"[{t.word}]") for t in multiset)
+
+
+def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
+                     arrows: list[int]) -> Diagram | None:
+    """The glued diagram with its two poles marked exterior, or None when
+    it is not a connected, valid, reduced sphere with exactly two
+    nontrivially-labeled vertices."""
+    diagram = Diagram(pres.ambient, faces, pairing, arrows)
     if not diagram.is_connected() or diagram.chi != 2:
-        return False
-    nontrivial = [v for v in range(len(diagram.vertices))
-                  if not diagram.vertex_label(v).is_identity()]
-    if len(nontrivial) != 2:
-        return False
-    marked = Diagram(diagram.ambient, diagram.faces, diagram.pairing,
-                     set(diagram.arrow_of_edge.values()),
-                     {frozenset(e): diagram.edge_label[ei]
-                      for ei, e in enumerate(diagram.edges)},
-                     exterior_vertex_seeds=[min(diagram.vertices[v]) for v in nontrivial])
+        return None
+    poles = [orbit[0] for v, orbit in enumerate(diagram.vertices)
+             if not diagram.vertex_label(v).is_identity()]
+    if len(poles) != 2:
+        return None
+    marked = Diagram(pres.ambient, faces, pairing, arrows, exterior_vertex_seeds=poles)
     if not validate_howie(marked, pres, allow_null_faces=False).ok:
-        return False
+        return None
     ok, _ = is_phi_reduced(marked, pres)
-    return ok
-
-
-def _mark_poles(diagram: Diagram) -> Diagram:
-    nontrivial = [v for v in range(len(diagram.vertices))
-                  if not diagram.vertex_label(v).is_identity()]
-    return Diagram(diagram.ambient, diagram.faces, diagram.pairing,
-                   set(diagram.arrow_of_edge.values()),
-                   {frozenset(e): diagram.edge_label[ei]
-                    for ei, e in enumerate(diagram.edges)},
-                   exterior_vertex_seeds=[min(diagram.vertices[v]) for v in nontrivial])
+    return marked if ok else None
 
 
 @dataclass
@@ -149,56 +128,32 @@ class EnumerationResult:
         return set(self.survivors)
 
 
-def enumerate_diagrams(config: EnumerationConfig, workers: int = 1
-                       ) -> EnumerationResult:
+def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
     """Backtracking enumeration with closed-vertex pruning."""
-    pres = config.presentation
-    templates = face_templates(config)
     result = EnumerationResult()
-    jobs = list(_balanced_multisets(templates, config.max_interior_faces))
-    if workers > 1:
-        import multiprocessing as mp
-        with mp.Pool(workers) as pool:
-            partials = pool.map(_enumerate_multiset_job,
-                                [(config, ms) for ms in jobs])
-        for ms, part in zip(jobs, partials):
-            _merge_partial(result, ms, part, config.symmetry_dedup)
-        return result
-    for ms in jobs:
-        part = _enumerate_multiset_job((config, ms))
-        _merge_partial(result, ms, part, config.symmetry_dedup)
+    for multiset in _balanced_multisets(face_templates(config), config.max_interior_faces):
+        survivors, tried, complete = _enumerate_multiset(config, multiset)
+        for form, diagram in survivors.items():
+            name = form if config.symmetry_dedup else f"{form}#{len(result.survivors)}"
+            if name not in result.survivors:
+                result.survivors[name] = diagram
+        result.counts_per_multiset[_multiset_key(multiset)] = len(survivors)
+        result.matchings_tried += tried
+        result.complete = result.complete and complete
     return result
 
 
-def _merge_partial(result: EnumerationResult, multiset, part,
-                   dedup: bool = True) -> None:
-    survivors, tried, complete = part
-    key = tuple(t.kind + ("" if t.word is None else f"[{t.word}]") for t in multiset)
-    count = 0
-    for form, djson in survivors.items():
-        name = form if dedup else f"{form}#{len(result.survivors)}"
-        if name not in result.survivors:
-            result.survivors[name] = Diagram.from_json(djson)
-        count += 1
-    result.counts_per_multiset[key] = count
-    result.matchings_tried += tried
-    result.complete = result.complete and complete
-
-
-def _enumerate_multiset_job(job):
-    config, multiset = job
+def _enumerate_multiset(config: EnumerationConfig, multiset: list[FaceTemplate]):
+    """Survivors of one multiset by canonical form (the last gluing found
+    wins), the leaves reached, and whether the search ran to the end."""
     pres = config.presentation
-    plus_info, minus_info = _dart_table(multiset)
-    n = len(plus_info)
-    survivors: dict[str, str] = {}
+    faces, plus, minus = _dart_layout(multiset)
+    face_darts = [[slot.dart for slot in face] for face in faces]
+    n = len(plus)
+    survivors: dict[str, Diagram] = {}
     tried = 0
     complete = True
-    if n != len(minus_info):
-        return survivors, tried, complete
-
-    order = list(range(n))
-    matching: dict[int, int] = {}
-    used: set[int] = set()
+    pairing: dict[int, int] = {}
 
     def backtrack(i: int):
         nonlocal tried, complete
@@ -207,99 +162,62 @@ def _enumerate_multiset_job(job):
             return
         if i == n:
             tried += 1
-            d = _assemble(pres.ambient, multiset, matching, plus_info, minus_info)
-            if _survivor(d, pres):
-                marked = _mark_poles(d)
-                survivors[marked.canonical_form()] = marked.to_json()
+            marked = _marked_survivor(pres, faces, pairing, plus)
+            if marked is not None:
+                survivors[marked.canonical_form()] = marked
             return
-        for mi in range(n):
-            if mi in used:
+        a = plus[i]
+        for b in minus:
+            if b in pairing:
                 continue
-            matching[order[i]] = mi
-            used.add(mi)
-            if _partial_ok(pres, multiset, matching, plus_info, minus_info):
+            pairing[a] = b
+            pairing[b] = a
+            if _partial_ok(pres, faces, face_darts, pairing):
                 backtrack(i + 1)
-            del matching[order[i]]
-            used.discard(mi)
+            del pairing[a], pairing[b]
 
     backtrack(0)
     return survivors, tried, complete
 
 
-def _partial_ok(pres, multiset, matching, plus_info, minus_info) -> bool:
+def _partial_ok(pres, faces, face_darts, pairing) -> bool:
     """Prune on closed vertex orbits: more than two nontrivial labels kill
     the branch; closed interior orbits must be trivial eventually, but we
     only count nontrivial ones here."""
-    pairing = {}
-    for pi, mi in matching.items():
-        a, b = plus_info[pi], minus_info[mi]
-        pairing[a] = b
-        pairing[b] = a
-    slot_of = {}
-    faces = []
-    dart = 0
-    for fi, tpl in enumerate(multiset):
-        ids = list(range(dart, dart + len(tpl.signs)))
-        for si, d in enumerate(ids):
-            slot_of[d] = (fi, si)
-        dart += len(tpl.signs)
-        faces.append((ids, tpl.corners))
-    seen = set()
     nontrivial = 0
-    for fi, (ids, corners) in enumerate(faces):
-        for si in range(len(ids)):
-            ref = (fi, si)
-            if ref in seen:
-                continue
-            orbit = [ref]
-            seen.add(ref)
-            cur = ref
-            closed = True
-            while True:
-                cf, cs = cur
-                nxt_dart = faces[cf][0][(cs + 1) % len(faces[cf][0])]
-                if nxt_dart not in pairing:
-                    closed = False
-                    break
-                cur = slot_of[pairing[nxt_dart]]
-                if cur == ref:
-                    break
-                orbit.append(cur)
-                seen.add(cur)
-            if closed:
-                label = pres.ambient.one()
-                for of, os_ in orbit:
-                    label = label * faces[of][1][os_]
-                if not label.is_identity():
-                    nontrivial += 1
-                    if nontrivial > 2:
-                        return False
+    for orbit in corner_cycles(face_darts, pairing):
+        label = pres.ambient.one()
+        for fi, si in orbit:
+            label = label * faces[fi][si].corner
+        if not label.is_identity():
+            nontrivial += 1
+            if nontrivial > 2:
+                return False
     return True
 
 
 def brute_force_enumerate(config: EnumerationConfig) -> EnumerationResult:
     """Unpruned cross-check: try every permutation matching outright."""
     pres = config.presentation
-    templates = face_templates(config)
     result = EnumerationResult()
-    for multiset in _balanced_multisets(templates, config.max_interior_faces):
-        plus_info, minus_info = _dart_table(multiset)
-        n = len(plus_info)
-        key = tuple(t.kind + ("" if t.word is None else f"[{t.word}]") for t in multiset)
+    for multiset in _balanced_multisets(face_templates(config), config.max_interior_faces):
+        faces, plus, minus = _dart_layout(multiset)
         count = 0
-        for perm in itertools.permutations(range(n)):
+        for perm in itertools.permutations(minus):
             result.matchings_tried += 1
             if result.matchings_tried > config.max_matchings_per_multiset:
                 raise SearchBoundExceeded("brute force bound exceeded")
-            matching = {i: perm[i] for i in range(n)}
-            d = _assemble(pres.ambient, multiset, matching, plus_info, minus_info)
-            if _survivor(d, pres):
-                marked = _mark_poles(d)
+            pairing = {}
+            for a, b in zip(plus, perm):
+                pairing[a] = b
+                pairing[b] = a
+            marked = _marked_survivor(pres, faces, pairing, plus)
+            if marked is not None:
                 form = marked.canonical_form()
                 if form not in result.survivors:
                     result.survivors[form] = marked
                 count += 1
-        result.counts_per_multiset[key] = count
+        result.counts_per_multiset[_multiset_key(multiset)] = count
     return result
 
 

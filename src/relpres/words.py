@@ -91,10 +91,6 @@ class TWord:
                     break
         return TWord(self.ambient, tuple(segs), tuple(signs))
 
-    def is_freely_reduced(self) -> bool:
-        return all(not (self.signs[i] == -self.signs[i + 1] and self.segments[i + 1].is_identity())
-                   for i in range(self.t_count - 1))
-
     def cyclic_free_reduce(self) -> "TWord | FPWord":
         """Reduce all t-cancellations in the cyclic word.
 
