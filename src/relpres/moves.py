@@ -304,6 +304,8 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
             _collapse_new_trivial_bigons(builder, [fo])
         return PullResult("contracted", (builder.to_diagram(),))
     if diagram.head(d1) != diagram.tail(d1):
+        if f1 == f2 and len(diagram.faces[f1]) == 2:
+            return _drop_edgeless_sphere(builder, f1)
         builder.unpair(d1)
         if f1 == f2:
             hi, lo = max(i1, i2), min(i1, i2)
@@ -316,6 +318,20 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
             _collapse_new_trivial_bigons(builder, [f1, f2])
         return PullResult("contracted", (builder.to_diagram(),))
     return _pull_loop(diagram, builder, d1, d2)
+
+
+def _drop_edgeless_sphere(builder: MutableDiagram, fid: int) -> PullResult:
+    """Contracting the one edge of a face glued to itself leaves a sphere
+    with no edges; drop it when its one vertex label is trivial."""
+    first, second = builder.faces[fid]
+    label = first.corner * second.corner
+    if not label.is_identity():
+        raise MoveError(f"contraction leaves an edgeless sphere with label {label}")
+    builder.unpair(first.dart)
+    del builder.faces[fid]
+    builder.exterior_faces.discard(fid)
+    return PullResult("discarded", (builder.to_diagram(),),
+                      note="dropped an edgeless sphere with trivial label")
 
 
 def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> PullResult:

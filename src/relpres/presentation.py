@@ -35,9 +35,12 @@ class RelPresentation:
     pairs: tuple[tuple[FPWord, FPWord], ...]  # (b_i, a_i)
 
     def __post_init__(self):
-        assert self.c.ambient == self.ambient
-        for b, a in self.pairs:
-            assert b.ambient == self.ambient and a.ambient == self.ambient
+        if not isinstance(self.k, int) or self.k < 2:
+            raise RewriteError(f"k must be an integer >= 2, got {self.k!r}")
+        ambient = self.ambient
+        if self.c.ambient != ambient or any(
+                w.ambient != ambient for pair in self.pairs for w in pair):
+            raise RewriteError(f"words must live in {self.s + 1} copies of the group")
 
     @property
     def ambient(self) -> FreeProduct:

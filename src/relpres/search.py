@@ -6,6 +6,21 @@ syllable bound.  Gluings are perfect matchings of along-arrow darts with
 against-arrow darts; survivors must be connected spheres, pass the full
 validation, keep digons apart, stay reduced, and have exactly two
 nontrivially-labeled vertices (marked exterior).
+
+The pruned search glues one dart pair per tree node and keeps the vertex
+orbits of the partial gluing up to date as closed corner cycles and open
+corner chains (``CornerChains``).  It cuts a branch for one of two
+reasons, both sound because a glued link never reopens an orbit:
+
+* labels: more than two closed vertices already carry nontrivial labels;
+* euler: ``closed + open < E - F + 2``.  Each link lowers the count of
+  closed cycles plus open chains by 0 (it closes a chain) or 1 (it joins
+  two), and a connected sphere with E edges and F faces has
+  ``V = E - F + 2`` vertices.
+
+``matchings_tried`` counts the leaves reached, i.e. the complete gluings
+that survive both prunes; ``nodes`` counts the dart pairs glued.
+``brute_force_enumerate`` prunes nothing and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +31,7 @@ from dataclasses import dataclass, field
 from .diagram import (Diagram, DiagramError, Slot, curvature_weights,
                       is_phi_reduced, validate_howie)
 from .freeprod import FPWord
-from .maps import corner_cycles
-from .presentation import RelPresentation
+from .presentation import RelPresentation, RewriteError
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -56,7 +70,8 @@ class FaceTemplate:
 def face_templates(config: EnumerationConfig) -> list[FaceTemplate]:
     pres = config.presentation
     rel = pres.relator()
-    assert rel.segments[-1].is_identity()
+    if not rel.segments[-1].is_identity():
+        raise RewriteError("relator does not end with a t-letter")
     plus = FaceTemplate("relator+", rel.signs,
                         tuple(rel.segments[1:-1]) + (rel.segments[0],))
     inv = rel.inv()
@@ -117,96 +132,198 @@ def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
     return marked if ok else None
 
 
+Label = tuple[tuple[int, int], ...]   # normal-form letters (copy, element)
+
+
+def _seam_product(left: Label, right: Label, mul, identity: int) -> Label:
+    """Product of two normal-form labels; only letters at the seam cancel."""
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        copy = right[j][0]
+        element = mul(left[i - 1][1], right[j][1])
+        i -= 1
+        j += 1
+        if element != identity:
+            return left[:i] + ((copy, element),) + right[j:]
+    return left[:i] + right[j:]
+
+
+class CornerChains:
+    """Vertex orbits of a partial gluing, kept up to date pair by pair.
+
+    Darts are numbered face by face from 0 (``_dart_layout``), so corner
+    ``c`` is the corner at the head of dart ``c``, and ``prev_corner[x]``
+    is the corner that dart ``x`` leaves.  Gluing ``a`` to ``b`` adds the
+    corner links ``prev_corner[a] -> b`` and ``prev_corner[b] -> a``, the
+    steps of the corner rotation of ``maps``.  Linked corners form open
+    chains and closed cycles; each open chain keeps its ends in
+    ``first``/``last`` (valid at the opposite end only) and the product of
+    its corner labels at its first corner.  ``closed``, ``open`` and
+    ``nontrivial`` (closed cycles with a nontrivial label) are the
+    counters the prunes read; ``unglue`` undoes the last ``glue``.
+    """
+
+    def __init__(self, faces: list[list[Slot]], group):
+        self.prev_corner: list[int] = []
+        self.label: list[Label] = []
+        for face in faces:
+            self.prev_corner.extend(face[i - 1].dart for i in range(len(face)))
+            self.label.extend(tuple((l.copy_index, l.element) for l in slot.corner.letters)
+                              for slot in face)
+        n = len(self.label)
+        self.first = list(range(n))
+        self.last = list(range(n))
+        self.closed = 0
+        self.open = n
+        self.nontrivial = 0
+        self._mul = group.mul
+        self._identity = group.identity
+        self._undo: list[tuple] = []
+
+    def _link(self, u: int, v: int) -> None:
+        """Add the link from corner ``u`` (a chain's last) to ``v`` (a
+        chain's first): close one chain or join two."""
+        f = self.first[u]
+        label = self.label
+        if f == v:
+            self.closed += 1
+            self.open -= 1
+            if label[v]:
+                self.nontrivial += 1
+            self._undo.append((v,))
+            return
+        w = self.last[v]
+        self._undo.append((v, f, u, w, label[f]))
+        self.last[f] = w
+        self.first[w] = f
+        label[f] = _seam_product(label[f], label[v], self._mul, self._identity)
+        self.open -= 1
+
+    def glue(self, a: int, b: int) -> None:
+        self._link(self.prev_corner[a], b)
+        self._link(self.prev_corner[b], a)
+
+    def unglue(self) -> None:
+        for _ in range(2):
+            entry = self._undo.pop()
+            if len(entry) == 1:
+                v, = entry
+                self.closed -= 1
+                self.open += 1
+                if self.label[v]:
+                    self.nontrivial -= 1
+            else:
+                v, f, u, w, label = entry
+                self.last[f] = u
+                self.first[w] = v
+                self.label[f] = label
+                self.open += 1
+
+
 @dataclass
 class EnumerationResult:
     survivors: dict[str, Diagram] = field(default_factory=dict)
     counts_per_multiset: dict[tuple[str, ...], int] = field(default_factory=dict)
-    matchings_tried: int = 0
+    matchings_tried: int = 0          # leaves reached
     complete: bool = True
+    nodes: int = 0                    # dart pairs glued by the pruned search
+    prunes: dict[str, int] = field(default_factory=lambda: {"labels": 0, "euler": 0})
 
     def canonical_forms(self) -> set[str]:
         return set(self.survivors)
 
 
 def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
-    """Backtracking enumeration with closed-vertex pruning."""
+    """Backtracking enumeration over each balanced face multiset.
+
+    Branches are cut when more than two closed vertices carry nontrivial
+    labels ("labels") or when too few vertices are left for a connected
+    sphere ("euler", see the module docstring).  ``matchings_tried``
+    counts the leaves reached; ``max_matchings_per_multiset`` bounds the
+    dart pairs glued per multiset, and ``complete`` is False when it cut
+    a search short.
+    """
     result = EnumerationResult()
     for multiset in _balanced_multisets(face_templates(config), config.max_interior_faces):
-        survivors, tried, complete = _enumerate_multiset(config, multiset)
+        survivors, complete = _enumerate_multiset(config, multiset, result)
         for form, diagram in survivors.items():
             name = form if config.symmetry_dedup else f"{form}#{len(result.survivors)}"
             if name not in result.survivors:
                 result.survivors[name] = diagram
         result.counts_per_multiset[_multiset_key(multiset)] = len(survivors)
-        result.matchings_tried += tried
         result.complete = result.complete and complete
     return result
 
 
-def _enumerate_multiset(config: EnumerationConfig, multiset: list[FaceTemplate]):
+def _enumerate_multiset(config: EnumerationConfig, multiset: list[FaceTemplate],
+                        result: EnumerationResult):
     """Survivors of one multiset by canonical form (the last gluing found
-    wins), the leaves reached, and whether the search ran to the end."""
+    wins) and whether the search ran to the end; leaves, nodes and prunes
+    are added to ``result``."""
     pres = config.presentation
     faces, plus, minus = _dart_layout(multiset)
-    face_darts = [[slot.dart for slot in face] for face in faces]
+    chains = CornerChains(faces, pres.group)
     n = len(plus)
+    spheres_need = n - len(faces) + 2      # vertices of a connected sphere
+    bound = config.max_matchings_per_multiset
     survivors: dict[str, Diagram] = {}
-    tried = 0
-    complete = True
     pairing: dict[int, int] = {}
+    nodes = leaves = labels_cut = euler_cut = 0
 
-    def backtrack(i: int):
-        nonlocal tried, complete
-        if tried > config.max_matchings_per_multiset:
-            complete = False
-            return
+    def backtrack(i: int) -> bool:
+        """False once the node bound cuts the search short."""
+        nonlocal nodes, leaves, labels_cut, euler_cut
         if i == n:
-            tried += 1
+            leaves += 1
             marked = _marked_survivor(pres, faces, pairing, plus)
             if marked is not None:
                 survivors[marked.canonical_form()] = marked
-            return
+            return True
         a = plus[i]
         for b in minus:
             if b in pairing:
                 continue
+            if nodes >= bound:
+                return False
+            nodes += 1
             pairing[a] = b
             pairing[b] = a
-            if _partial_ok(pres, faces, face_darts, pairing):
-                backtrack(i + 1)
+            chains.glue(a, b)
+            ok = True
+            if chains.nontrivial > 2:
+                labels_cut += 1
+            elif chains.closed + chains.open < spheres_need:
+                euler_cut += 1
+            else:
+                ok = backtrack(i + 1)
+            chains.unglue()
             del pairing[a], pairing[b]
-
-    backtrack(0)
-    return survivors, tried, complete
-
-
-def _partial_ok(pres, faces, face_darts, pairing) -> bool:
-    """Prune on closed vertex orbits: more than two nontrivial labels kill
-    the branch; closed interior orbits must be trivial eventually, but we
-    only count nontrivial ones here."""
-    nontrivial = 0
-    for orbit in corner_cycles(face_darts, pairing):
-        label = pres.ambient.one()
-        for fi, si in orbit:
-            label = label * faces[fi][si].corner
-        if not label.is_identity():
-            nontrivial += 1
-            if nontrivial > 2:
+            if not ok:
                 return False
-    return True
+        return True
+
+    complete = backtrack(0)
+    result.matchings_tried += leaves
+    result.nodes += nodes
+    result.prunes["labels"] += labels_cut
+    result.prunes["euler"] += euler_cut
+    return survivors, complete
 
 
 def brute_force_enumerate(config: EnumerationConfig) -> EnumerationResult:
-    """Unpruned cross-check: try every permutation matching outright."""
+    """Unpruned cross-check: try every permutation matching outright.
+
+    Raises ``SearchBoundExceeded`` when one multiset has more than
+    ``max_matchings_per_multiset`` matchings."""
     pres = config.presentation
     result = EnumerationResult()
     for multiset in _balanced_multisets(face_templates(config), config.max_interior_faces):
         faces, plus, minus = _dart_layout(multiset)
         count = 0
-        for perm in itertools.permutations(minus):
-            result.matchings_tried += 1
-            if result.matchings_tried > config.max_matchings_per_multiset:
+        for tried, perm in enumerate(itertools.permutations(minus), 1):
+            if tried > config.max_matchings_per_multiset:
                 raise SearchBoundExceeded("brute force bound exceeded")
+            result.matchings_tried += 1
             pairing = {}
             for a, b in zip(plus, perm):
                 pairing[a] = b

@@ -82,13 +82,16 @@ def test_criterion_03_alternation_bound():
 
 def test_criterion_04_enumeration_desk_scale():
     t0 = time.monotonic()
+    pruned = 0.0
     w = parse_word(CORPUS[0], BASE3)
     for k in (2, 3):
         raw = initial_rewrite(Z3, w, k)
         small = minimize(raw)
         for pres in (raw, small):
+            t1 = time.monotonic()
             res = enumerate_diagrams(EnumerationConfig(
                 pres, max_interior_faces=3, digon_syllables=2))
+            pruned += time.monotonic() - t1
             assert res.complete
             assert all(is_degenerate_digon(d, pres) for d in res.survivors.values())
             if pres.digon_alphabet(2):
@@ -101,8 +104,10 @@ def test_criterion_04_enumeration_desk_scale():
             assert fast.canonical_forms() == slow.canonical_forms()
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
+    assert pruned < 10.0
     print(f"[criterion 4] PASS: survivors are exactly the degenerate digons; "
-          f"brute force agrees at two faces ({elapsed:.0f}s)")
+          f"brute force agrees at two faces ({elapsed:.0f}s, pruned search "
+          f"{pruned:.1f}s)")
 
 
 def test_criterion_05_curvature_audit():

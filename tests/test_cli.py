@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from relpres.cli import main
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -138,6 +140,20 @@ class TestSearch:
         assert doc["result"]["survivor_count"] == 2
         assert all(s["degenerate_digon"] and s["audit_ok"]
                    for s in doc["result"]["survivors"])
+
+
+class TestBadPresentation:
+    @pytest.mark.parametrize("k", [-2, 0, 1])
+    @pytest.mark.parametrize("command", [["conjugacy", "center"],
+                                         ["search", "enumerate"]])
+    def test_bad_k_is_usage(self, capsys, tmp_path, command, k):
+        data = json.load(open(fixture("pres_z3_k2.json")))
+        data["k"] = k
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps(data))
+        code, doc = run(capsys, *command, "--pres", str(path))
+        assert code == 2
+        assert "k must be" in doc["error"] and "result" not in doc
 
 
 class TestDeterminism:

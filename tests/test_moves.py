@@ -241,6 +241,23 @@ class TestReduceToChain:
         out = chain.diagrams[0]
         assert out.canonical_form() == db.canonical_form()
 
+    def test_last_identity_edge_of_a_lone_face_is_dropped(self):
+        # the earlier pulls leave one bigon glued to itself by an identity
+        # edge; contracting it leaves an edgeless sphere with trivial label
+        d = thicken(tripod(Z3, 1, X))
+        chain, trace = reduce_to_chain(d, PRES)
+        assert [e.move for e in trace.entries][-1] == "pull_discarded"
+        assert [len(x.faces) for x in chain.diagrams] == [0]
+        assert replay_trace(d, PRES, trace).diagrams[0].canonical_form() == \
+            chain.diagrams[0].canonical_form()
+
+    def test_edgeless_sphere_with_label_is_refused(self):
+        amb = PRES.ambient
+        d = Diagram(amb, [[Slot(0, X), Slot(1, amb.one())]], {0: 1, 1: 0}, [0],
+                    edge_labels={frozenset((0, 1)): "1"})
+        with pytest.raises(MoveError):
+            pull_identity_edge(d, 0)
+
     def test_step_bound_respected(self):
         db = dumbbell(PRES, X, Y, [X, Y, X])
         t = thicken(db)

@@ -208,3 +208,17 @@ class TestSerialization:
         p = minimize(initial_rewrite(Z3, w, 2))
         q = RelPresentation.from_dict(json.loads(json.dumps(p.to_dict())))
         assert (q.s, q.k, q.c, q.pairs) == (p.s, p.k, p.c, p.pairs)
+
+    @pytest.mark.parametrize("k", [-2, 0, 1, 2.0])
+    def test_bad_k_rejected(self, k):
+        data = minimize(initial_rewrite(Z3, parse_word("x t y t^-1 x t", BASE3), 2)).to_dict()
+        data["k"] = k
+        with pytest.raises(RewriteError):
+            RelPresentation.from_dict(data)
+
+    def test_words_in_wrong_ambient_rejected(self):
+        amb = FreeProduct(Z3, 1)
+        with pytest.raises(RewriteError):
+            RelPresentation(Z3, 0, 2, amb.from_name("x"), ())
+        with pytest.raises(RewriteError):
+            RelPresentation(Z3, 1, 2, amb.one(), ((amb.one(), BASE3.from_name("x")),))

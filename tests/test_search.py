@@ -1,12 +1,19 @@
+import itertools
+import math
+import random
+
 import pytest
 
-from relpres.diagram import DiagramError, is_degenerate_digon
+from relpres import search
+from relpres.diagram import Diagram, DiagramError, is_degenerate_digon
+from relpres.maps import corner_cycles
 from relpres.presentation import minimize
-from relpres.search import (EnumerationConfig, brute_force_enumerate,
-                            curvature_audit, enumerate_diagrams,
-                            face_templates)
+from relpres.search import (CornerChains, EnumerationConfig, SearchBoundExceeded,
+                            _balanced_multisets, _dart_layout,
+                            brute_force_enumerate, curvature_audit,
+                            enumerate_diagrams, face_templates)
 
-from fixtures import degenerate_digon, mirror_large_pair, pres_z3
+from fixtures import degenerate_digon, mirror_large_pair, pres_z2, pres_z3
 
 PRES = pres_z3(2)
 
@@ -114,3 +121,131 @@ class TestAudit:
             assert rule.special_digons == ()
             assert all(s.positive_special == 0 and s.negative_special == 0
                        for s in rule.vertex_stats)
+
+
+def _multisets(pres, max_faces, digon_syllables):
+    cfg = EnumerationConfig(pres, max_interior_faces=max_faces,
+                            digon_syllables=digon_syllables)
+    return list(_balanced_multisets(face_templates(cfg), max_faces))
+
+
+def _recount(faces, pairing):
+    """From scratch: closed orbits, nontrivial closed labels, and each open
+    chain as first corner -> (last corner, label)."""
+    face_darts = [[slot.dart for slot in face] for face in faces]
+    corner = {slot.dart: slot.corner for face in faces for slot in face}
+    closed = corner_cycles(face_darts, pairing)
+    nontrivial = 0
+    for orbit in closed:
+        label = faces[0][0].corner.ambient.one()
+        for fi, si in orbit:
+            label = label * faces[fi][si].corner
+        nontrivial += not label.is_identity()
+    leaving = {d: darts[(i + 1) % len(darts)]
+               for darts in face_darts for i, d in enumerate(darts)}
+    chains = {}
+    for start in corner:
+        if start in pairing:            # some corner links into it
+            continue
+        c, label = start, corner[start]
+        while leaving[c] in pairing:
+            c = pairing[leaving[c]]
+            label = label * corner[c]
+        chains[start] = (c, label)
+    return len(closed), nontrivial, chains
+
+
+class TestCornerChains:
+    @pytest.mark.parametrize("pres,max_faces", [(PRES, 3), (pres_z2(2), 3),
+                                                (minimize(pres_z3(3)), 2)])
+    def test_state_matches_recount_on_random_paths(self, pres, max_faces):
+        rng = random.Random(max_faces * 31 + pres.k)
+        multisets = _multisets(pres, max_faces, 1)
+        for multiset in rng.sample(multisets, min(6, len(multisets))):
+            faces, plus, minus = _dart_layout(multiset)
+            chains = CornerChains(faces, pres.group)
+            pairing, glued = {}, []
+            for _ in range(4 * len(plus)):
+                if len(glued) < len(plus) and (not glued or rng.random() < 0.7):
+                    a = plus[len(glued)]
+                    b = rng.choice([d for d in minus if d not in pairing])
+                    chains.glue(a, b)
+                    pairing[a], pairing[b] = b, a
+                    glued.append((a, b))
+                else:
+                    a, b = glued.pop()
+                    chains.unglue()
+                    del pairing[a], pairing[b]
+                closed, nontrivial, open_chains = _recount(faces, pairing)
+                assert (chains.closed, chains.nontrivial) == (closed, nontrivial)
+                assert chains.open == len(open_chains)
+                for first, (last, label) in open_chains.items():
+                    assert chains.last[first] == last and chains.first[last] == first
+                    assert chains.label[first] == tuple(
+                        (l.copy_index, l.element) for l in label.letters)
+
+
+class TestPruneSoundness:
+    @pytest.mark.parametrize("pres", [pres_z3(2), pres_z2(2), minimize(pres_z3(2))],
+                             ids=["z3", "z2", "z3-minimized"])
+    def test_every_two_pole_sphere_is_reached(self, pres, monkeypatch):
+        cfg = EnumerationConfig(pres, max_interior_faces=3, digon_syllables=1)
+        reached = set()
+        real = search._marked_survivor
+
+        def leaf(pres_, faces, pairing, arrows):
+            reached.add((tuple(map(tuple, faces)), tuple(sorted(pairing.items()))))
+            return real(pres_, faces, pairing, arrows)
+
+        monkeypatch.setattr(search, "_marked_survivor", leaf)
+        fast = enumerate_diagrams(cfg)
+        assert fast.complete and fast.matchings_tried == len(reached)
+        spheres = 0
+        for multiset in _balanced_multisets(face_templates(cfg), 3):
+            faces, plus, minus = _dart_layout(multiset)
+            for perm in itertools.permutations(minus):
+                pairing = dict(zip(plus, perm))
+                pairing.update(zip(perm, plus))
+                d = Diagram(pres.ambient, faces, pairing, plus)
+                if not d.is_connected() or d.chi != 2:
+                    continue
+                poles = sum(not d.vertex_label(v).is_identity()
+                            for v in range(len(d.vertices)))
+                if poles <= 2:
+                    spheres += 1
+                    assert (tuple(map(tuple, faces)),
+                            tuple(sorted(pairing.items()))) in reached
+        assert spheres > 0
+        assert fast.canonical_forms() == brute_force_enumerate(cfg).canonical_forms()
+
+    def test_both_prunes_fire(self):
+        res = enumerate_diagrams(EnumerationConfig(minimize(PRES), max_interior_faces=3,
+                                                   digon_syllables=1))
+        assert res.prunes["labels"] > 0 and res.prunes["euler"] > 0
+        assert res.nodes > res.matchings_tried
+
+
+class TestBounds:
+    def test_node_bound_stops_a_search_without_leaves(self):
+        pres = minimize(PRES)
+        cfg = EnumerationConfig(pres, max_interior_faces=3, digon_syllables=1)
+        assert enumerate_diagrams(cfg).complete
+        tiny = EnumerationConfig(pres, max_interior_faces=3, digon_syllables=1,
+                                 max_matchings_per_multiset=3)
+        res = enumerate_diagrams(tiny)
+        assert not res.complete
+        assert res.nodes <= 3 * len(res.counts_per_multiset)
+
+    def test_brute_force_bound(self):
+        cfg = EnumerationConfig(PRES, max_interior_faces=2, digon_syllables=1,
+                                max_matchings_per_multiset=1)
+        with pytest.raises(SearchBoundExceeded):
+            brute_force_enumerate(cfg)
+
+    def test_brute_force_bound_is_per_multiset(self):
+        largest = max(math.factorial(len(_dart_layout(m)[1]))
+                      for m in _multisets(PRES, 2, 1))
+        cfg = EnumerationConfig(PRES, max_interior_faces=2, digon_syllables=1,
+                                max_matchings_per_multiset=largest)
+        res = brute_force_enumerate(cfg)
+        assert res.matchings_tried > largest
