@@ -56,6 +56,7 @@ def main() -> None:
                     "degenerate_digons": degenerate,
                     "expected": len(pres.digon_alphabet(args.digon_syllables)),
                     "matchings": res.matchings_tried,
+                    "checked": res.checked,
                     "nodes": res.nodes,
                     "prunes": res.prunes,
                     "seconds": round(time.monotonic() - t0, 3),

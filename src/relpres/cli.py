@@ -19,7 +19,7 @@ from .diagram import Diagram, DiagramError, curvature_weights, is_degenerate_dig
     is_phi_reduced, is_reduced, uniform_weights, validate_howie
 from .freeprod import FreeProduct
 from .groups import GroupTable
-from .moves import MoveError, reduce_to_chain
+from .moves import MoveError, ReductionBoundExceeded, reduce_to_chain
 from .presentation import (RelPresentation, RewriteError, back_substitute,
                            initial_rewrite, minimize, verify_conditions)
 from .search import (EnumerationConfig, SearchBoundExceeded,
@@ -194,7 +194,10 @@ def cmd_diagram_curvature(args) -> int:
 def cmd_diagram_reduce(args) -> int:
     d = _load_diagram(args.infile)
     pres = RelPresentation.from_file(args.pres)
-    chain, trace = reduce_to_chain(d, pres)
+    try:
+        chain, trace = reduce_to_chain(d, pres)
+    except ReductionBoundExceeded as exc:
+        return _emit(args, [args.infile, args.pres], RESOURCE, {"error": str(exc)})
     os.makedirs(args.outdir, exist_ok=True)
     paths = []
     for i, dd in enumerate(chain.diagrams):

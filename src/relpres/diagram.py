@@ -39,6 +39,34 @@ class Slot:
     corner: FPWord
 
 
+def label_from(ambient: FreeProduct, corners: Sequence[FPWord],
+               senses: Sequence[int], start: int = 0) -> TWord:
+    """Face label from its slots' corners and pre-edge senses (0 for an
+    identity edge), written starting with the pre-edge of slot ``start``."""
+    n = len(corners)
+    items: list = []
+    for off in range(n):
+        i = (start + off) % n
+        if senses[i]:
+            items.append(senses[i])
+        items.append(corners[i])
+    return from_items(ambient, items)
+
+
+def label_ending(ambient: FreeProduct, corners: Sequence[FPWord],
+                 senses: Sequence[int], end: int) -> TWord:
+    """Face label written so that the pre-edge of slot ``end`` is last."""
+    n = len(corners)
+    items: list = [corners[end]]
+    for off in range(1, n + 1):
+        i = (end + off) % n
+        if senses[i]:
+            items.append(senses[i])
+        if off < n:
+            items.append(corners[i])
+    return from_items(ambient, items)
+
+
 class Diagram:
     """Immutable validated map; all derived structure computed up front."""
 
@@ -170,31 +198,21 @@ class Diagram:
             out = out * self.corner(ref)
         return out
 
+    def _face_senses(self, fi: int) -> list[int]:
+        """Per slot of a face: the sense of its pre-edge, or 0 on an
+        identity edge, which contributes no t-letter."""
+        return [self.sense(slot.dart) if self.edge_label[self.edge_of_dart[slot.dart]] == "t"
+                else 0 for slot in self.faces[fi]]
+
     def face_label(self, fi: int, start: int = 0) -> TWord:
         """Label written starting with the pre-edge of the given slot."""
-        face = self.faces[fi]
-        items: list = []
-        for off in range(len(face)):
-            slot = face[(start + off) % len(face)]
-            ei = self.edge_of_dart[slot.dart]
-            if self.edge_label[ei] == "t":
-                items.append(self.sense(slot.dart))
-            items.append(slot.corner)
-        return from_items(self.ambient, items)
+        return label_from(self.ambient, [slot.corner for slot in self.faces[fi]],
+                          self._face_senses(fi), start)
 
     def face_label_ending(self, fi: int, end: int) -> TWord:
         """Label written so that the pre-edge of slot ``end`` is last."""
-        face = self.faces[fi]
-        items: list = []
-        for off in range(1, len(face) + 1):
-            slot = face[(end + off) % len(face)]
-            ei = self.edge_of_dart[slot.dart]
-            if self.edge_label[ei] == "t":
-                items.append(self.sense(slot.dart))
-            if off < len(face):
-                items.append(slot.corner)
-        lead = face[end].corner
-        return from_items(self.ambient, [lead] + items)
+        return label_ending(self.ambient, [slot.corner for slot in self.faces[fi]],
+                            self._face_senses(fi), end)
 
     # -- corner combinatorics ---------------------------------------------
 
@@ -396,14 +414,18 @@ class FaceClass:
 def classify_face(diagram: Diagram, pres: RelPresentation, fi: int) -> FaceClass:
     if fi in diagram.exterior_faces:
         return FaceClass("exterior")
-    label = diagram.face_label(fi)
+    return classify_label(diagram.ambient, pres, diagram.face_label(fi))
+
+
+def classify_label(ambient: FreeProduct, pres: RelPresentation, label: TWord) -> FaceClass:
+    """Class of an interior face with the given label."""
     red = label.cyclic_free_reduce()
     if isinstance(red, FPWord):
         if red.is_identity():
             return FaceClass("null")
         return FaceClass("invalid", reason=f"t-free label {red} is not trivial")
     if red.t_count == 2 and red.exponent_sum() == 0:
-        digon = _match_digon(diagram.ambient, red)
+        digon = _match_digon(ambient, red)
         if digon is not None:
             return FaceClass("digon", digon_word=digon)
     relator = pres.relator()

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .diagram import (Diagram, Slot, classify_face, digon_adjacencies,
-                      is_phi_reduced, reducible_pairs, validate_howie)
+                      is_phi_reduced, label_from, reducible_pairs, validate_howie)
 from .freeprod import FPWord, FreeProduct, conjugate_in_free_product
 from .maps import components, corner_cycles
 from .presentation import RelPresentation
@@ -21,6 +21,10 @@ from .words import TWord
 
 class MoveError(ValueError):
     pass
+
+
+class ReductionBoundExceeded(MoveError):
+    """``reduce_to_chain`` took more steps than its bound allows."""
 
 
 class MSlot:
@@ -433,13 +437,10 @@ def _split_components(builder: MutableDiagram) -> list[MutableDiagram]:
 
 
 def _builder_face_label(builder: MutableDiagram, fid: int) -> TWord:
-    from .words import from_items
-    items: list = []
-    for s in builder.faces[fid]:
-        if builder.edge_label(s.dart) == "t":
-            items.append(1 if s.dart in builder.arrow else -1)
-        items.append(s.corner)
-    return from_items(builder.ambient, items)
+    slots = builder.faces[fid]
+    senses = [(1 if s.dart in builder.arrow else -1) if builder.edge_label(s.dart) == "t"
+              else 0 for s in slots]
+    return label_from(builder.ambient, [s.corner for s in slots], senses)
 
 
 # -- hole filling ----------------------------------------------------------
@@ -584,7 +585,7 @@ def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
         d = chain[idx]
         steps += 1
         if steps > bound:
-            raise MoveError(f"reduction exceeded the step bound {bound}")
+            raise ReductionBoundExceeded(f"reduction exceeded the step bound {bound}")
         ids = _identity_edges(d)
         if ids:
             ei = min(ids, key=lambda e: d.edges[e])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .freeprod import FPWord, FreeProduct
 from .groups import GroupTable
@@ -42,7 +43,9 @@ class RelPresentation:
                 w.ambient != ambient for pair in self.pairs for w in pair):
             raise RewriteError(f"words must live in {self.s + 1} copies of the group")
 
-    @property
+    # Built once per instance: cached_property writes to the instance
+    # __dict__, which the frozen dataclass's ==, hash and repr ignore.
+    @cached_property
     def ambient(self) -> FreeProduct:
         return FreeProduct(self.group, self.s)
 
@@ -57,6 +60,10 @@ class RelPresentation:
         return from_items(self.ambient, items)
 
     def relator(self) -> TWord:
+        return self._relator
+
+    @cached_property
+    def _relator(self) -> TWord:
         return self.inner_word().pow(self.k).free_reduce()
 
     def digon_alphabet(self, max_syllables: int = 1) -> list[FPWord]:

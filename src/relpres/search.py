@@ -18,8 +18,21 @@ reasons, both sound because a glued link never reopens an orbit:
   two), and a connected sphere with E edges and F faces has
   ``V = E - F + 2`` vertices.
 
+At a leaf (a complete gluing) a ``LeafCheck`` runs first.  Inside a
+search every edge is labelled t and its arrow dart is the plus dart, so
+a face's class and the labels ``reducible_pairs`` compares depend on its
+template alone; ``_face_table`` computes them once per
+``enumerate_diagrams`` call, as ids in a list indexed by template
+position.  The check reads that table and the corner chains with
+integers only: two nontrivial closed labels, ``closed - E + F == 2``,
+every face large or a digon, no edge between distinct faces joining two
+digons or two mutually inverse labels, and one component.  It is exact,
+and only gluings that pass it reach ``_marked_survivor``, which still
+builds, validates and marks every survivor.
+
 ``matchings_tried`` counts the leaves reached, i.e. the complete gluings
-that survive both prunes; ``nodes`` counts the dart pairs glued.
+that survive both prunes; ``checked`` counts the leaves that passed the
+leaf check; ``nodes`` counts the dart pairs glued.
 ``brute_force_enumerate`` prunes nothing and serves as the oracle.
 """
 
@@ -28,10 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .diagram import (Diagram, DiagramError, Slot, curvature_weights,
-                      is_phi_reduced, validate_howie)
+from . import maps
+from .diagram import (Diagram, DiagramError, Slot, classify_label, curvature_weights,
+                      is_phi_reduced, label_ending, label_from, validate_howie)
 from .freeprod import FPWord
 from .presentation import RelPresentation, RewriteError
+from .words import TWord
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -84,14 +99,20 @@ def face_templates(config: EnumerationConfig) -> list[FaceTemplate]:
     return out
 
 
-def _balanced_multisets(templates: list[FaceTemplate], max_faces: int):
+def _balanced_combos(templates: list[FaceTemplate], max_faces: int):
+    """Template positions of each multiset whose plus and minus darts balance."""
     n = len(templates)
     for total in range(1, max_faces + 1):
         for combo in itertools.combinations_with_replacement(range(n), total):
             plus = sum(templates[i].plus_darts for i in combo)
             minus = sum(templates[i].minus_darts for i in combo)
             if plus == minus:
-                yield [templates[i] for i in combo]
+                yield combo
+
+
+def _balanced_multisets(templates: list[FaceTemplate], max_faces: int):
+    for combo in _balanced_combos(templates, max_faces):
+        yield [templates[i] for i in combo]
 
 
 def _dart_layout(multiset: list[FaceTemplate]):
@@ -130,6 +151,73 @@ def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
         return None
     ok, _ = is_phi_reduced(marked, pres)
     return marked if ok else None
+
+
+FaceData = tuple[str, tuple[int, ...], tuple[int, ...]]
+
+
+def _face_table(templates: list[FaceTemplate], pres: RelPresentation) -> list[FaceData]:
+    """Per template position: the face's class and, for each slot ``s``,
+    the id of the reduced label read from ``s`` and the id of the inverse
+    of the reduced label ending at ``s`` (the two words
+    ``reducible_pairs`` compares).  A face's senses are its template
+    signs (see the module docstring); equal words get equal ids across
+    templates."""
+    ambient = pres.ambient
+    ids: dict[TWord, int] = {}
+
+    def word_id(word: TWord) -> int:
+        return ids.setdefault(word, len(ids))
+
+    table = []
+    for tpl in templates:
+        kind = classify_label(ambient, pres, label_from(ambient, tpl.corners, tpl.signs)).kind
+        slots = range(len(tpl.signs))
+        read = tuple(word_id(label_from(ambient, tpl.corners, tpl.signs, s).free_reduce())
+                     for s in slots)
+        ending_inv = tuple(word_id(label_ending(ambient, tpl.corners, tpl.signs, s)
+                                   .free_reduce().inv().free_reduce()) for s in slots)
+        table.append((kind, read, ending_inv))
+    return table
+
+
+class LeafCheck:
+    """``_marked_survivor``'s tests on one multiset's complete gluings,
+    read off the face table and the corner chains with no ``Diagram``.
+    ``passes`` is exact: it is True exactly when ``_marked_survivor``
+    returns a diagram, which still builds and decides every such gluing."""
+
+    def __init__(self, face_data: list[FaceData], faces: list[list[Slot]], plus: list[int]):
+        """``face_data[f]`` is the face table entry of face ``f``'s template."""
+        self.faces = faces
+        self.plus = plus
+        self.classes_ok = all(kind in ("large", "digon") for kind, _, _ in face_data)
+        self.digon = [kind == "digon" for kind, _, _ in face_data]
+        self.face_of: list[int] = []
+        self.read: list[int] = []
+        self.ending_inv: list[int] = []
+        for f, (_, read, ending_inv) in enumerate(face_data):
+            self.face_of.extend([f] * len(read))
+            self.read.extend(read)
+            self.ending_inv.extend(ending_inv)
+
+    def passes(self, chains: "CornerChains", pairing: dict[int, int]) -> bool:
+        faces = len(self.faces)
+        if not self.classes_ok or chains.nontrivial != 2:
+            return False
+        if chains.closed - len(self.plus) + faces != 2:       # V - E + F
+            return False
+        face_of, digon = self.face_of, self.digon
+        for a in self.plus:
+            b = pairing[a]
+            d1, d2 = (a, b) if a < b else (b, a)
+            f1, f2 = face_of[d1], face_of[d2]
+            if f1 == f2:
+                continue
+            if (digon[f1] and digon[f2]) or self.read[d1] == self.ending_inv[d2]:
+                return False
+        links = ((face_of[a], face_of[pairing[a]]) for a in self.plus)
+        return len(maps.components(faces, links)) == 1
 
 
 Label = tuple[tuple[int, int], ...]   # normal-form letters (copy, element)
@@ -225,6 +313,7 @@ class EnumerationResult:
     survivors: dict[str, Diagram] = field(default_factory=dict)
     counts_per_multiset: dict[tuple[str, ...], int] = field(default_factory=dict)
     matchings_tried: int = 0          # leaves reached
+    checked: int = 0                  # leaves the pruned search handed to _marked_survivor
     complete: bool = True
     nodes: int = 0                    # dart pairs glued by the pruned search
     prunes: dict[str, int] = field(default_factory=lambda: {"labels": 0, "euler": 0})
@@ -244,8 +333,12 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
     a search short.
     """
     result = EnumerationResult()
-    for multiset in _balanced_multisets(face_templates(config), config.max_interior_faces):
-        survivors, complete = _enumerate_multiset(config, multiset, result)
+    templates = face_templates(config)
+    table = _face_table(templates, config.presentation)
+    for combo in _balanced_combos(templates, config.max_interior_faces):
+        multiset = [templates[i] for i in combo]
+        survivors, complete = _enumerate_multiset(
+            config, multiset, [table[i] for i in combo], result)
         for form, diagram in survivors.items():
             name = form if config.symmetry_dedup else f"{form}#{len(result.survivors)}"
             if name not in result.survivors:
@@ -256,28 +349,31 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
 
 
 def _enumerate_multiset(config: EnumerationConfig, multiset: list[FaceTemplate],
-                        result: EnumerationResult):
+                        face_data: list[FaceData], result: EnumerationResult):
     """Survivors of one multiset by canonical form (the last gluing found
-    wins) and whether the search ran to the end; leaves, nodes and prunes
-    are added to ``result``."""
+    wins) and whether the search ran to the end; leaves, checked leaves,
+    nodes and prunes are added to ``result``."""
     pres = config.presentation
     faces, plus, minus = _dart_layout(multiset)
     chains = CornerChains(faces, pres.group)
+    check = LeafCheck(face_data, faces, plus)
     n = len(plus)
     spheres_need = n - len(faces) + 2      # vertices of a connected sphere
     bound = config.max_matchings_per_multiset
     survivors: dict[str, Diagram] = {}
     pairing: dict[int, int] = {}
-    nodes = leaves = labels_cut = euler_cut = 0
+    nodes = leaves = checked = labels_cut = euler_cut = 0
 
     def backtrack(i: int) -> bool:
         """False once the node bound cuts the search short."""
-        nonlocal nodes, leaves, labels_cut, euler_cut
+        nonlocal nodes, leaves, checked, labels_cut, euler_cut
         if i == n:
             leaves += 1
-            marked = _marked_survivor(pres, faces, pairing, plus)
-            if marked is not None:
-                survivors[marked.canonical_form()] = marked
+            if check.passes(chains, pairing):
+                checked += 1
+                marked = _marked_survivor(pres, faces, pairing, plus)
+                if marked is not None:
+                    survivors[marked.canonical_form()] = marked
             return True
         a = plus[i]
         for b in minus:
@@ -303,7 +399,11 @@ def _enumerate_multiset(config: EnumerationConfig, multiset: list[FaceTemplate],
         return True
 
     complete = backtrack(0)
+    # backtrack reaches itself through its closure; clearing the name breaks
+    # that cycle, so the search state is freed now, not by the cyclic GC
+    del backtrack
     result.matchings_tried += leaves
+    result.checked += checked
     result.nodes += nodes
     result.prunes["labels"] += labels_cut
     result.prunes["euler"] += euler_cut

@@ -6,6 +6,7 @@ follows its dart, paired darts are traversed oppositely by their faces.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,17 @@ Z4 = cyclic_group(4, ["e", "x", "y", "z"])
 Z5 = cyclic_group(5, ["e", "x", "y", "z", "w"])
 
 
+def _symmetric3() -> GroupTable:
+    """S3 as the permutations of three points, composed right to left."""
+    perms = sorted(itertools.permutations(range(3)))
+    return GroupTable(["e", "a", "b", "r", "r2", "c"],
+                      [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+                       for p in perms])
+
+
+S3 = _symmetric3()
+
+
 def pres_z3(k: int = 2) -> RelPresentation:
     """Copy-spread presentation over Z/3 (one copy level, no pair list)."""
     w = parse_word("x t y t^-1 x t", FreeProduct(Z3, 0))
@@ -30,6 +42,12 @@ def pres_z3(k: int = 2) -> RelPresentation:
 def pres_z2(k: int = 2) -> RelPresentation:
     w = parse_word("x t x t^-1 x t", FreeProduct(Z2, 0))
     return initial_rewrite(Z2, w, k)
+
+
+def pres_s3(k: int = 2) -> RelPresentation:
+    """Copy-spread presentation over the nonabelian S3."""
+    w = parse_word("a t r t^-1 b t", FreeProduct(S3, 0))
+    return initial_rewrite(S3, w, k)
 
 
 def degenerate_digon(pres: RelPresentation, p: FPWord) -> Diagram:

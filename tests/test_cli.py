@@ -108,6 +108,20 @@ class TestDiagram:
         files = doc["result"]["chain_files"]
         assert all((outdir / f).exists() for f in files)
 
+    def test_reduce_over_step_bound_is_resource(self, capsys, tmp_path, monkeypatch):
+        import functools
+        from relpres import cli
+        from relpres.moves import reduce_to_chain
+        monkeypatch.setattr(cli, "reduce_to_chain",
+                            functools.partial(reduce_to_chain, step_factor=0))
+        code, doc = run(capsys, "diagram", "reduce",
+                        "--in", fixture("degenerate_digon_z3.json"),
+                        "--pres", fixture("pres_z3_k2.json"),
+                        "--out", str(tmp_path / "chain"))
+        assert code == 3
+        assert "step bound" in doc["result"]["error"]
+        assert doc["manifest"]["exit_status"] == 3
+
 
 class TestConjugacy:
     def test_reduce(self, capsys):

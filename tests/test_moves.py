@@ -3,9 +3,9 @@ import pytest
 from relpres.diagram import (Diagram, Slot, classify_face, reducible_pairs,
                              validate_howie)
 from relpres.freeprod import conjugate_in_free_product
-from relpres.moves import (MoveError, fill_hole, glue_cyclic_copies,
-                           merge_digons, pull_identity_edge, reduce_to_chain,
-                           replay_trace, thicken)
+from relpres.moves import (MoveError, ReductionBoundExceeded, fill_hole,
+                           glue_cyclic_copies, merge_digons, pull_identity_edge,
+                           reduce_to_chain, replay_trace, thicken)
 from fixtures import (Z3, degenerate_digon, digon_chain, dumbbell,
                       loop_split_sphere, mirror_large_pair, path_sphere,
                       pinch_pair, pres_z2, pres_z3, theta_digons, tripod)
@@ -208,6 +208,10 @@ class TestReduceToChain:
         d = degenerate_digon(PRES, X)
         chain, trace = reduce_to_chain(d, PRES)
         assert len(chain.diagrams) == 1 and not trace.entries
+
+    def test_step_bound_is_typed(self):
+        with pytest.raises(ReductionBoundExceeded):
+            reduce_to_chain(mirror_large_pair(PRES), PRES, step_factor=0)
 
     def test_spurious_mirror_pair_cancels_completely(self):
         pres = pres_z3(2)

@@ -216,6 +216,12 @@ class TestSerialization:
         with pytest.raises(RewriteError):
             RelPresentation.from_dict(data)
 
+    def test_ambient_and_relator_built_once(self):
+        p = minimize(initial_rewrite(Z3, parse_word("x t y t^-1 x t", BASE3), 2))
+        assert p.ambient is p.ambient and p.relator() is p.relator()
+        q = RelPresentation.from_dict(p.to_dict())
+        assert q == p and hash(q) == hash(p)
+
     def test_words_in_wrong_ambient_rejected(self):
         amb = FreeProduct(Z3, 1)
         with pytest.raises(RewriteError):

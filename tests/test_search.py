@@ -8,12 +8,12 @@ from relpres import search
 from relpres.diagram import Diagram, DiagramError, is_degenerate_digon
 from relpres.maps import corner_cycles
 from relpres.presentation import minimize
-from relpres.search import (CornerChains, EnumerationConfig, SearchBoundExceeded,
-                            _balanced_multisets, _dart_layout,
-                            brute_force_enumerate, curvature_audit,
+from relpres.search import (CornerChains, EnumerationConfig, LeafCheck, SearchBoundExceeded,
+                            _balanced_combos, _balanced_multisets, _dart_layout,
+                            _face_table, brute_force_enumerate, curvature_audit,
                             enumerate_diagrams, face_templates)
 
-from fixtures import degenerate_digon, mirror_large_pair, pres_z2, pres_z3
+from fixtures import degenerate_digon, mirror_large_pair, pres_s3, pres_z2, pres_z3
 
 PRES = pres_z3(2)
 
@@ -191,15 +191,21 @@ class TestPruneSoundness:
     def test_every_two_pole_sphere_is_reached(self, pres, monkeypatch):
         cfg = EnumerationConfig(pres, max_interior_faces=3, digon_syllables=1)
         reached = set()
-        real = search._marked_survivor
+        passed = []
+        real = search.LeafCheck.passes
 
-        def leaf(pres_, faces, pairing, arrows):
-            reached.add((tuple(map(tuple, faces)), tuple(sorted(pairing.items()))))
-            return real(pres_, faces, pairing, arrows)
+        def leaf(check, chains, pairing):
+            reached.add((tuple(map(tuple, check.faces)), tuple(sorted(pairing.items()))))
+            ok = real(check, chains, pairing)
+            survivor = search._marked_survivor(pres, check.faces, pairing, check.plus)
+            assert ok == (survivor is not None)
+            passed.append(ok)
+            return ok
 
-        monkeypatch.setattr(search, "_marked_survivor", leaf)
+        monkeypatch.setattr(search.LeafCheck, "passes", leaf)
         fast = enumerate_diagrams(cfg)
         assert fast.complete and fast.matchings_tried == len(reached)
+        assert fast.checked == sum(passed)
         spheres = 0
         for multiset in _balanced_multisets(face_templates(cfg), 3):
             faces, plus, minus = _dart_layout(multiset)
@@ -223,6 +229,34 @@ class TestPruneSoundness:
                                                    digon_syllables=1))
         assert res.prunes["labels"] > 0 and res.prunes["euler"] > 0
         assert res.nodes > res.matchings_tried
+
+
+class TestLeafCheck:
+    @pytest.mark.parametrize("pres,digon_syllables,max_faces", [
+        (pres_z3(2), 1, 2), (pres_z2(2), 1, 2), (pres_z3(3), 2, 2), (pres_s3(2), 1, 2),
+        (pres_z3(2), 1, 3), (pres_z3(3), 2, 3), (pres_s3(2), 1, 3),
+        (minimize(pres_z3(2)), 1, 2), (minimize(pres_s3(2)), 1, 2)],
+        ids=["z3", "z2", "z3-k3", "s3", "z3-3", "z3-k3-3", "s3-3", "z3-min", "s3-min"])
+    def test_agrees_with_marked_survivor_on_every_gluing(self, pres, digon_syllables,
+                                                        max_faces):
+        cfg = EnumerationConfig(pres, max_interior_faces=max_faces,
+                                digon_syllables=digon_syllables)
+        templates = face_templates(cfg)
+        table = _face_table(templates, pres)
+        outcomes = []
+        for combo in _balanced_combos(templates, max_faces):
+            faces, plus, minus = _dart_layout([templates[i] for i in combo])
+            check = LeafCheck([table[i] for i in combo], faces, plus)
+            for perm in itertools.permutations(minus):
+                chains = CornerChains(faces, pres.group)
+                pairing = {}
+                for a, b in zip(plus, perm):
+                    chains.glue(a, b)
+                    pairing[a], pairing[b] = b, a
+                ok = check.passes(chains, pairing)
+                assert ok == (search._marked_survivor(pres, faces, pairing, plus) is not None)
+                outcomes.append(ok)
+        assert not all(outcomes)
 
 
 class TestBounds:
