@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per CLI output, to show that a change keeps every
+output byte for byte.
+
+    python3 scripts/check_outputs.py                   # this checkout
+    python3 scripts/check_outputs.py --root OTHER_TREE # another checkout
+
+Each command runs in a fresh ``python -m relpres.cli`` process with the
+``src`` directory of ``--root`` on the path, inside a scratch directory
+that holds a copy of ``fixtures/`` so that every path the manifest records
+is relative.  Covered: the stdout of every README command on the fixtures;
+``diagram reduce`` on both digon fixtures and on five spheres from
+``tests/fixtures.py`` that need pulls, splits, hole fills and digon
+merges, with every chain file and the ``--trace`` file; and ``search
+enumerate`` at three faces and ``--brute-force`` at two faces on both
+``pres_*`` fixtures.  Each line is ``<sha256>  <name>``, with the exit
+code after a command's name; compare two checkouts' lines with ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORD = "x t y t^-1 x t"
+PRES = ("fixtures/pres_z3_k2.json", "fixtures/pres_z2_k2.json")
+
+COMMANDS = [
+    ("word-check", ["word", "check", "--group", "fixtures/z3.json", "--word", WORD]),
+    ("presentation-rewrite", ["presentation", "rewrite", "--group", "fixtures/z3.json",
+                              "--word", WORD, "--k", "2", "--out", "p.json"]),
+    ("presentation-verify", ["presentation", "verify", "--pres", PRES[0]]),
+    ("diagram-validate", ["diagram", "validate", "--in", "fixtures/degenerate_digon_z3.json",
+                          "--pres", PRES[0]]),
+    ("curvature-uniform", ["diagram", "curvature", "--in", "fixtures/two_onegons.json",
+                           "--weights", "uniform"]),
+    ("curvature-rule", ["diagram", "curvature", "--in", "fixtures/degenerate_digon_z3.json",
+                        "--weights", "rule", "--pres", PRES[0], "--audit"]),
+    ("conjugacy-reduce", ["conjugacy", "reduce", "--pres", PRES[0], "--u", "t^-1 x t",
+                          "--h", "x"]),
+    ("conjugacy-oracle", ["conjugacy", "oracle", "--group", "fixtures/z4.json", "--g", "x",
+                          "--k", "2", "--max-syllables", "6"]),
+    ("conjugacy-center", ["conjugacy", "center", "--pres", PRES[0]]),
+    ("search-readme", ["search", "enumerate", "--pres", PRES[0], "--max-faces", "2",
+                       "--digon-syllables", "1"]),
+]
+for _pres in PRES:
+    _name = os.path.basename(_pres)[:-5]
+    COMMANDS += [
+        (f"search-3-{_name}", ["search", "enumerate", "--pres", _pres, "--max-faces", "3"]),
+        (f"brute-2-{_name}", ["search", "enumerate", "--pres", _pres, "--max-faces", "2",
+                              "--brute-force"]),
+    ]
+
+
+def sphere_inputs(root: str, work: str) -> list[tuple[str, str, str]]:
+    """Write spheres from ``tests/fixtures.py`` that the driver must reduce;
+    returns (name, diagram file, presentation file) triples."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
+    from fixtures import (dumbbell, loop_split_sphere, mirror_large_pair, pres_z3,
+                          theta_digons)
+    from relpres.moves import thicken
+
+    p2, p3 = pres_z3(2), pres_z3(3)
+    x, y = p2.ambient.from_name("x"), p2.ambient.from_name("y")
+    spheres = [("loop-split", loop_split_sphere(p2, x), p2),
+               ("dumbbell", thicken(dumbbell(p2, x, y, [x, y, x])), p2),
+               ("theta", theta_digons(p2, x, y), p2),
+               ("mirror-k2", mirror_large_pair(p2), p2),
+               ("mirror-k3", mirror_large_pair(p3), p3)]
+    out = []
+    for name, diagram, pres in spheres:
+        for suffix, doc in (("", diagram.to_dict()), ("_pres", pres.to_dict())):
+            with open(os.path.join(work, f"{name}{suffix}.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True)
+        out.append((name, f"{name}.json", f"{name}_pres.json"))
+    return out
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=os.path.dirname(HERE),
+                    help="checkout whose src/, fixtures/ and tests/ are used")
+    root = os.path.abspath(ap.parse_args().root)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
+        commands = list(COMMANDS)
+        reduced = [("digon-z3", "fixtures/degenerate_digon_z3.json", PRES[0]),
+                   ("digon-z2", "fixtures/degenerate_digon_z2.json", PRES[1])]
+        for name, infile, pres in reduced + sphere_inputs(root, work):
+            commands.append((f"reduce-{name}", ["diagram", "reduce", "--in", infile, "--pres",
+                                                pres, "--out", f"chain-{name}",
+                                                "--trace", f"trace-{name}.json"]))
+        for name, argv in commands:
+            run = subprocess.run([sys.executable, "-m", "relpres.cli", *argv], cwd=work,
+                                 env=env, capture_output=True, check=False)
+            print(f"{digest(run.stdout)}  {name} exit={run.returncode}")
+            written = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--trace")]
+            for path in written:
+                full = os.path.join(work, path)
+                files = ([os.path.join(path, f) for f in sorted(os.listdir(full))]
+                         if os.path.isdir(full) else [path])
+                for rel in files:
+                    with open(os.path.join(work, rel), "rb") as fh:
+                        print(f"{digest(fh.read())}  {name}:{rel}")
+
+
+if __name__ == "__main__":
+    main()

@@ -68,7 +68,8 @@ def label_ending(ambient: FreeProduct, corners: Sequence[FPWord],
 
 
 class Diagram:
-    """Immutable validated map; all derived structure computed up front."""
+    """Immutable validated map; all derived structure computed up front,
+    except the canonical form, computed on first use and kept."""
 
     def __init__(self,
                  ambient: FreeProduct,
@@ -150,6 +151,7 @@ class Diagram:
         self.chi = len(self.vertices) - len(self.edges) + len(self.faces)
         if self.chi % 2 != 0:
             raise DiagramError(f"odd Euler characteristic {self.chi}")
+        self._canonical: str | None = None
 
     # -- structure ------------------------------------------------------
 
@@ -324,63 +326,155 @@ class Diagram:
     def canonical_form(self) -> str:
         """Lexicographically minimal serialization over dart relabelings.
 
-        Exact and exponential in principle, fine at desk scale: every
-        (face, rotation) seed starts a deterministic traversal.
+        Every (face, rotation) seed numbers the darts by a breadth-first
+        traversal, and the form is the least of the seeds' documents
+        (see ``_CanonicalLabeller``).  Computed once per instance.
         """
-        if not self.faces:
-            return '"empty"'
-        comps = self.components()
-        if len(comps) > 1:
-            raise DiagramError("canonical form of a disconnected diagram")
-        best: str | None = None
-        for f0 in range(len(self.faces)):
-            for r0 in range(len(self.faces[f0])):
-                s = self._canonical_from(f0, r0)
-                if best is None or s < best:
-                    best = s
-        assert best is not None
-        return best
+        if self._canonical is None:
+            self._canonical = _CanonicalLabeller(self).form()
+        return self._canonical
 
-    def _canonical_from(self, f0: int, r0: int) -> str:
-        dart_id: dict[int, int] = {}
-        face_order: list[tuple[int, int]] = []
-        queued = {f0}
-        queue = [(f0, r0)]
-        while queue:
-            fi, rot = queue.pop(0)
-            face_order.append((fi, rot))
-            face = self.faces[fi]
-            for off in range(len(face)):
-                d = face[(rot + off) % len(face)].dart
-                if d not in dart_id:
-                    dart_id[d] = len(dart_id)
-            for off in range(len(face)):
-                d = face[(rot + off) % len(face)].dart
-                p = self.pairing[d]
-                pf, ps = self.slot_of_dart[p]
-                if pf not in queued:
-                    queued.add(pf)
-                    queue.append((pf, ps))
-        faces_out = []
-        ext_faces = []
-        for new_fi, (fi, rot) in enumerate(face_order):
-            face = self.faces[fi]
-            faces_out.append([
-                {"d": dart_id[face[(rot + off) % len(face)].dart],
-                 "c": str(face[(rot + off) % len(face)].corner)}
-                for off in range(len(face))])
-            if fi in self.exterior_faces:
-                ext_faces.append(new_fi)
-        pairing = sorted(sorted((dart_id[d], dart_id[e])) for d, e in self.edges)
-        arrows = sorted(dart_id[self.arrow_of_edge[ei]] for ei in range(len(self.edges)))
-        labels = sorted((min(dart_id[d] for d in self.edges[ei]), lab)
-                        for ei, lab in self.edge_label.items() if lab != "t")
-        ext_vertices = sorted(
-            sorted(dart_id[self.faces[fi][si].dart] for fi, si in self.vertices[v])
-            for v in self.exterior_vertices)
-        doc = {"f": faces_out, "p": pairing, "a": arrows, "l": labels,
-               "xf": sorted(ext_faces), "xv": ext_vertices}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+def _array(items: Iterable[str]) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+class _CanonicalLabeller:
+    """Canonical form of one diagram, serializing only the winning seed.
+
+    Slots are numbered face by face.  A seed's traversal gives ``seq``,
+    the slots in the order their darts get ids 0, 1, ..., and ``order``,
+    the faces in the order they are reached; a face's darts get
+    consecutive ids.  The document's keys are sorted and every value is a
+    JSON array, no complete one a proper prefix of another, so two seeds'
+    documents compare as their values' texts do, key by key.  Seeds are
+    narrowed by one key's text at a time, and the form is joined from the
+    texts of the one left.  Texts are compared, not numbers: JSON orders
+    ``10`` before ``9``.
+    """
+
+    def __init__(self, d: Diagram):
+        self.d = d
+        start: list[int] = []
+        self.face_of: list[int] = []
+        self.rings: list[list[list[int]]] = []     # [face][rotation] -> slots
+        for fi, face in enumerate(d.faces):
+            first = len(self.face_of)
+            start.append(first)
+            slots = list(range(first, first + len(face)))
+            self.rings.append([slots[r:] + slots[:r] for r in range(len(slots))])
+            self.face_of += [fi] * len(face)
+        slots = [slot for face in d.faces for slot in face]
+        local = {slot.dart: i for i, slot in enumerate(slots)}
+        self.mate = [local[d.pairing[slot.dart]] for slot in slots]
+        self.mate_rot = [j - start[self.face_of[j]] for j in self.mate]
+        arrows = set(d.arrow_of_edge.values())
+        self.arrow = [slot.dart in arrows for slot in slots]
+        self.label = [json.dumps(lab) if lab != "t" else None     # JSON text, if listed
+                      for lab in (d.edge_label[d.edge_of_dart[slot.dart]] for slot in slots)]
+        self.corner = ['{"c":' + json.dumps(str(slot.corner)) + ',"d":' for slot in slots]
+        self.num = [str(k) for k in range(len(slots))]
+        self.dart = [k + "}" for k in self.num]
+        self.ext_orbits = [[start[fi] + si for fi, si in d.vertices[v]]
+                           for v in d.exterior_vertices]
+        self.keys = (("f", self.faces), ("l", self.labels), ("p", self.pairs),
+                     ("xf", self.ext_faces), ("xv", self.ext_vertices))
+
+    def form(self) -> str:
+        if not self.rings:
+            return '"empty"'
+        best: str | None = None
+        seeds: list[tuple[list[int], list[int]]] = []
+        for f0, rings in enumerate(self.rings):
+            for r0 in range(len(rings)):
+                seed = self.traverse(f0, r0, best)
+                if seed is None:
+                    continue
+                seq, order, text = seed
+                if best is None or text < best:
+                    best, seeds = text, [(seq, order)]
+                else:
+                    seeds.append((seq, order))
+        doc = {"a": best}
+        for key, text_of in self.keys:
+            texts = [text_of(seq, order) for seq, order in seeds]
+            doc[key] = least = min(texts)
+            if len(seeds) > 1:
+                seeds = [seed for seed, text in zip(seeds, texts) if text == least]
+        return "{" + ",".join(f'"{key}":{text}' for key, text in doc.items()) + "}"
+
+    def traverse(self, f0: int, r0: int, best: str | None
+                 ) -> tuple[list[int], list[int], str] | None:
+        """The seed's ``seq``, ``order`` and ``"a"`` text, or None as soon
+        as a prefix of that text shows it is worse than ``best``."""
+        rings, face_of, mate, mate_rot = self.rings, self.face_of, self.mate, self.mate_rot
+        arrow, num = self.arrow, self.num
+        queued = [False] * len(rings)
+        queued[f0] = True
+        order, rots, seq = [f0], [r0], []
+        text, sep = "[", ""
+        head = 0
+        while head < len(order):
+            ring = rings[order[head]][rots[head]]
+            head += 1
+            k = len(seq)
+            seq += ring
+            for i in ring:
+                if arrow[i]:
+                    text += sep + num[k]
+                    sep = ","
+                k += 1
+                g = face_of[mate[i]]
+                if not queued[g]:
+                    queued[g] = True
+                    order.append(g)
+                    rots.append(mate_rot[i])
+            if best is not None:
+                known = best[:len(text)]
+                if text > known:
+                    return None
+                if text < known:
+                    best = None
+        if len(order) < len(rings):
+            raise DiagramError("canonical form of a disconnected diagram")
+        return seq, order, text + "]"
+
+    @staticmethod
+    def _ids(seq: list[int]) -> list[int]:
+        """Dart id of each slot."""
+        ids = [0] * len(seq)
+        for k, i in enumerate(seq):
+            ids[i] = k
+        return ids
+
+    def faces(self, seq: list[int], order: list[int]) -> str:
+        corner, dart = self.corner, self.dart
+        out = []
+        k = 0
+        for f in order:
+            n = len(self.rings[f])
+            out.append(_array([corner[seq[m]] + dart[m] for m in range(k, k + n)]))
+            k += n
+        return _array(out)
+
+    def labels(self, seq: list[int], order: list[int]) -> str:
+        ids, mate, label, num = self._ids(seq), self.mate, self.label, self.num
+        return _array(["[" + num[k] + "," + label[i] + "]" for k, i in enumerate(seq)
+                       if label[i] and ids[mate[i]] > k])
+
+    def pairs(self, seq: list[int], order: list[int]) -> str:
+        ids, mate, num = self._ids(seq), self.mate, self.num
+        return _array(["[" + num[k] + "," + num[ids[mate[i]]] + "]" for k, i in enumerate(seq)
+                       if ids[mate[i]] > k])
+
+    def ext_faces(self, seq: list[int], order: list[int]) -> str:
+        ext = self.d.exterior_faces
+        return _array([self.num[j] for j, f in enumerate(order) if f in ext])
+
+    def ext_vertices(self, seq: list[int], order: list[int]) -> str:
+        ids, num = self._ids(seq), self.num
+        orbits = sorted(sorted(ids[i] for i in orbit) for orbit in self.ext_orbits)
+        return _array([_array([num[k] for k in orbit]) for orbit in orbits])
 
 
 @dataclass(frozen=True)
@@ -595,15 +689,18 @@ def is_reduced(diagram: Diagram) -> tuple[bool, list[tuple[int, int, int]]]:
 def digon_adjacencies(diagram: Diagram, pres: RelPresentation) -> list[tuple[int, int, int]]:
     """Edges shared by two distinct digon faces (forbidden when reduced
     diagrams are required to keep digons apart)."""
+    digon: dict[int, bool] = {}       # each face classified once, when first needed
+
+    def is_digon(fi: int) -> bool:
+        if fi not in digon:
+            digon[fi] = classify_face(diagram, pres, fi).kind == "digon"
+        return digon[fi]
+
     out = []
     for ei, (d1, d2) in enumerate(diagram.edges):
         f1 = diagram.slot_of_dart[d1][0]
         f2 = diagram.slot_of_dart[d2][0]
-        if f1 == f2:
-            continue
-        c1 = classify_face(diagram, pres, f1)
-        c2 = classify_face(diagram, pres, f2)
-        if c1.kind == "digon" and c2.kind == "digon":
+        if f1 != f2 and is_digon(f1) and is_digon(f2):
             out.append((ei, f1, f2))
     return out
 

@@ -673,28 +673,38 @@ def _cleanup_trivial_digon(d: Diagram, word: FPWord, fi: int) -> Diagram:
 
 def replay_trace(diagram: Diagram, pres: RelPresentation, trace: MoveTrace
                  ) -> DiagramChain:
-    """Re-apply a recorded move sequence, checking every hash."""
+    """Re-apply a recorded move sequence, checking every hash.  An entry
+    that does not fit the chain raises ``MoveError``."""
     chain: list[Diagram] = [diagram]
     for entry in trace.entries:
-        idx = next(i for i, d in enumerate(chain) if _hash(d) == entry.before)
+        idx = next((i for i, d in enumerate(chain) if _hash(d) == entry.before), None)
+        if idx is None:
+            raise MoveError(f"trace {entry.move} starts from {entry.before}, "
+                            "which matches no chain diagram")
         d = chain[idx]
-        ei = next((i for i, e in enumerate(d.edges) if e == tuple(entry.edge_darts)), None)
+        darts = tuple(entry.edge_darts) if isinstance(entry.edge_darts, (list, tuple)) else None
         if entry.move == "collapse_bigon":
-            fi = next(i for i, face in enumerate(d.faces)
-                      if tuple(sorted(s.dart for s in face)) == tuple(entry.edge_darts))
+            fi = next((i for i, face in enumerate(d.faces)
+                       if tuple(sorted(s.dart for s in face)) == darts), None)
+            if fi is None:
+                raise MoveError(f"trace collapse_bigon darts {entry.edge_darts} are not a face")
             builder = MutableDiagram.from_diagram(d)
             collapse_trivial_bigon(builder, fi)
             chain[idx] = builder.to_diagram()
-        elif entry.move.startswith("pull"):
-            res = pull_identity_edge(d, ei)
-            chain[idx:idx + 1] = list(res.diagrams)
-        elif entry.move == "fill_hole":
-            chain[idx] = fill_hole(d, pres, ei)
-        elif entry.move == "merge_digons":
-            nxt, word, out_fi = merge_digons(d, pres, ei)
-            chain[idx] = _cleanup_trivial_digon(nxt, word, out_fi)
         else:
-            raise MoveError(f"unknown trace move {entry.move}")
+            ei = next((i for i, e in enumerate(d.edges) if e == darts), None)
+            if ei is None:
+                raise MoveError(f"trace {entry.move} darts {entry.edge_darts} are not an edge")
+            if entry.move.startswith("pull"):
+                res = pull_identity_edge(d, ei)
+                chain[idx:idx + 1] = list(res.diagrams)
+            elif entry.move == "fill_hole":
+                chain[idx] = fill_hole(d, pres, ei)
+            elif entry.move == "merge_digons":
+                nxt, word, out_fi = merge_digons(d, pres, ei)
+                chain[idx] = _cleanup_trivial_digon(nxt, word, out_fi)
+            else:
+                raise MoveError(f"unknown trace move {entry.move}")
         got = tuple(_hash(x) for x in (chain[idx:idx + len(entry.after)]))
         if got != entry.after:
             raise MoveError(f"replay hash mismatch at {entry.move}")

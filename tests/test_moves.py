@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from relpres.diagram import (Diagram, Slot, classify_face, reducible_pairs,
                              validate_howie)
 from relpres.freeprod import conjugate_in_free_product
-from relpres.moves import (MoveError, ReductionBoundExceeded, fill_hole,
+from relpres.moves import (MoveError, MoveTrace, ReductionBoundExceeded, fill_hole,
                            glue_cyclic_copies, merge_digons, pull_identity_edge,
                            reduce_to_chain, replay_trace, thicken)
 from fixtures import (Z3, degenerate_digon, digon_chain, dumbbell,
@@ -268,6 +270,17 @@ class TestReduceToChain:
         bound = 8 * (len(t.faces) + len(t.edges) + 2)
         chain, trace = reduce_to_chain(t, PRES)
         assert len(trace.entries) <= bound
+
+    @pytest.mark.parametrize("tamper", [
+        {"before": "0" * 16}, {"edge_darts": (0, 999)}, {"edge_darts": None},
+        {"move": "collapse_bigon", "edge_darts": (0, 999)}],
+        ids=["unknown-before", "not-an-edge", "no-edge", "not-a-bigon"])
+    def test_tampered_trace_is_a_move_error(self, tamper):
+        d = loop_split_sphere(PRES, X)
+        _, trace = reduce_to_chain(d, PRES)
+        bad = MoveTrace((dataclasses.replace(trace.entries[0], **tamper),))
+        with pytest.raises(MoveError, match="matches no chain diagram|are not"):
+            replay_trace(d, PRES, bad)
 
     def test_replay_reproduces_chain(self):
         for fixture in (loop_split_sphere(PRES, X),

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from relpres import search
-from relpres.diagram import Diagram, DiagramError, is_degenerate_digon
+from relpres.diagram import Diagram, DiagramError, Slot, is_degenerate_digon
 from relpres.maps import corner_cycles
 from relpres.presentation import minimize
 from relpres.search import (CornerChains, EnumerationConfig, LeafCheck, SearchBoundExceeded,
@@ -257,6 +257,29 @@ class TestLeafCheck:
                 assert ok == (search._marked_survivor(pres, faces, pairing, plus) is not None)
                 outcomes.append(ok)
         assert not all(outcomes)
+
+    def test_disconnected_gluing_with_two_poles_fails(self):
+        # a self-glued digon sphere (two nontrivial vertices) beside a
+        # one-face torus whose one vertex is trivial: V - E + F = 2 and
+        # every test before the component test passes.  No template
+        # gluing has this shape, so the torus's table entry is hand-made.
+        pres = PRES
+        templates = face_templates(EnumerationConfig(pres, max_interior_faces=1))
+        digon = next(i for i, t in enumerate(templates) if t.kind == "digon")
+        faces, plus, _ = _dart_layout([templates[digon]])
+        one = pres.ambient.one()
+        faces.append([Slot(d, one) for d in range(2, 6)])
+        plus += [2, 3]
+        pairing = {1: 0, 0: 1, 2: 4, 4: 2, 3: 5, 5: 3}
+        torus = ("large", (100, 101, 102, 103), (200, 201, 202, 203))
+        check = LeafCheck([_face_table(templates, pres)[digon], torus], faces, plus)
+        chains = CornerChains(faces, pres.group)
+        for a in plus:
+            chains.glue(a, pairing[a])
+        assert chains.nontrivial == 2
+        assert chains.closed - len(plus) + len(faces) == 2
+        assert not check.passes(chains, pairing)
+        assert search._marked_survivor(pres, faces, pairing, plus) is None
 
 
 class TestBounds:
