@@ -9,12 +9,14 @@ Each command runs in a fresh ``python -m relpres.cli`` process with the
 ``src`` directory of ``--root`` on the path, inside a scratch directory
 that holds a copy of ``fixtures/`` so that every path the manifest records
 is relative.  Covered: the stdout of every README command on the fixtures;
-``diagram reduce`` on both digon fixtures and on five spheres from
-``tests/fixtures.py`` that need pulls, splits, hole fills and digon
-merges, with every chain file and the ``--trace`` file; and ``search
-enumerate`` at three faces and ``--brute-force`` at two faces on both
-``pres_*`` fixtures.  Each line is ``<sha256>  <name>``, with the exit
-code after a command's name; compare two checkouts' lines with ``diff``.
+``conjugacy oracle`` over Z/5 at eight syllables; ``presentation
+rewrite`` and ``verify`` of a 21 t-letter word; ``diagram reduce`` on
+both digon fixtures and on five spheres from ``tests/fixtures.py`` that
+need pulls, splits, hole fills and digon merges, with every chain file
+and the ``--trace`` file; and ``search enumerate`` at three faces and
+``--brute-force`` at two faces on both ``pres_*`` fixtures.  Each line is
+``<sha256>  <name>``, with the exit code after a command's name; compare
+two checkouts' lines with ``diff``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORD = "x t y t^-1 x t"
+# unimodular, 21 t-letters; it rewrites to two copies with two pairs
+WORD21 = ("x t y t x t^-1 y t x t^-1 y t^-1 x t y t x t^-1 x t y t^-1 y t x t^-1 "
+          "y t x t^-1 x t y t^-1 x t y t^-1 x t^-1 y t")
 PRES = ("fixtures/pres_z3_k2.json", "fixtures/pres_z2_k2.json")
 
 COMMANDS = [
@@ -50,6 +55,11 @@ COMMANDS = [
     ("conjugacy-center", ["conjugacy", "center", "--pres", PRES[0]]),
     ("search-readme", ["search", "enumerate", "--pres", PRES[0], "--max-faces", "2",
                        "--digon-syllables", "1"]),
+    ("oracle-z5", ["conjugacy", "oracle", "--group", "fixtures/z5.json", "--g", "x",
+                   "--k", "3", "--max-syllables", "8"]),
+    ("rewrite-21", ["presentation", "rewrite", "--group", "fixtures/z3.json",
+                    "--word", WORD21, "--k", "3", "--out", "p21.json"]),
+    ("verify-21", ["presentation", "verify", "--pres", "p21_pres.json"]),
 ]
 for _pres in PRES:
     _name = os.path.basename(_pres)[:-5]
@@ -60,10 +70,22 @@ for _pres in PRES:
     ]
 
 
-def sphere_inputs(root: str, work: str) -> list[tuple[str, str, str]]:
+def rewritten_presentation(work: str) -> None:
+    """Write ``p21_pres.json``, the minimized rewrite of WORD21 at k = 3
+    that ``verify-21`` checks."""
+    from relpres.freeprod import FreeProduct
+    from relpres.presentation import initial_rewrite, minimize
+    from relpres.words import parse_word
+    from fixtures import Z3
+
+    pres = minimize(initial_rewrite(Z3, parse_word(WORD21, FreeProduct(Z3, 0)), 3))
+    with open(os.path.join(work, "p21_pres.json"), "w", encoding="utf-8") as fh:
+        json.dump(pres.to_dict(), fh, sort_keys=True)
+
+
+def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
     """Write spheres from ``tests/fixtures.py`` that the driver must reduce;
     returns (name, diagram file, presentation file) triples."""
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
     from fixtures import (dumbbell, loop_split_sphere, mirror_large_pair, pres_z3,
                           theta_digons)
     from relpres.moves import thicken
@@ -94,12 +116,14 @@ def main() -> None:
                     help="checkout whose src/, fixtures/ and tests/ are used")
     root = os.path.abspath(ap.parse_args().root)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
+        rewritten_presentation(work)
         commands = list(COMMANDS)
         reduced = [("digon-z3", "fixtures/degenerate_digon_z3.json", PRES[0]),
                    ("digon-z2", "fixtures/degenerate_digon_z2.json", PRES[1])]
-        for name, infile, pres in reduced + sphere_inputs(root, work):
+        for name, infile, pres in reduced + sphere_inputs(work):
             commands.append((f"reduce-{name}", ["diagram", "reduce", "--in", infile, "--pres",
                                                 pres, "--out", f"chain-{name}",
                                                 "--trace", f"trace-{name}.json"]))

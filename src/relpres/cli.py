@@ -212,13 +212,14 @@ def cmd_diagram_reduce(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(trace_doc, sort_keys=True, indent=1) + "\n")
+    links_conjugate = chain.links_conjugate()
     result = {
         "chain_length": len(chain.diagrams),
         "chain_files": [os.path.basename(p) for p in paths],
-        "links_conjugate": chain.links_conjugate(),
+        "links_conjugate": links_conjugate,
         "moves": [e.move for e in trace.entries],
     }
-    status = OK if chain.links_conjugate() else VIOLATION
+    status = OK if links_conjugate else VIOLATION
     return _emit(args, [args.infile, args.pres], status, result)
 
 

@@ -163,6 +163,13 @@ class FreeProductModel:
         if self.k < 2:
             raise ValueError("k must be >= 2")
 
+    def _merge(self, kind: str, v1: int, v2: int) -> int | None:
+        """Product of two letters of one factor; None when it is trivial."""
+        if kind == "G":
+            merged = self.group.mul(v1, v2)
+            return None if merged == self.group.identity else merged
+        return (v1 + v2) % self.k or None
+
     def normalize(self, letters) -> tuple:
         out: list[tuple[str, int]] = []
         for kind, val in letters:
@@ -175,16 +182,25 @@ class FreeProductModel:
                     continue
             out.append((kind, val))
             while len(out) >= 2 and out[-1][0] == out[-2][0]:
-                k2, v2 = out.pop()
-                k1, v1 = out.pop()
-                merged = (self.group.mul(v1, v2) if k2 == "G" else (v1 + v2) % self.k)
-                if not ((k2 == "G" and merged == self.group.identity)
-                        or (k2 == "x" and merged == 0)):
-                    out.append((k2, merged))
+                kind, v2 = out.pop()
+                merged = self._merge(kind, out.pop()[1], v2)
+                if merged is not None:
+                    out.append((kind, merged))
         return tuple(out)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return self.normalize(list(a) + list(b))
+        """Product of two normal forms: letters are merged or cancelled
+        where they join, and the untouched parts of both are kept."""
+        if not a or not b or a[-1][0] != b[0][0]:   # different factors meet
+            return a + b
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            kind = b[j][0]
+            merged = self._merge(kind, a[i - 1][1], b[j][1])
+            if merged is not None:
+                return a[:i - 1] + ((kind, merged),) + b[j + 1:]
+            i, j = i - 1, j + 1
+        return a[:i] + b[j:]
 
     def inv(self, a: tuple) -> tuple:
         out = []
@@ -212,22 +228,6 @@ class FreeProductModel:
     def in_base_group(self, a: tuple) -> bool:
         return len(a) == 0 or (len(a) == 1 and a[0][0] == "G")
 
-    def words_up_to(self, syllables: int) -> list[tuple]:
-        out = [()]
-        layer: list[tuple] = [()]
-        g_letters = [("G", v) for v in self.group.nontrivial()]
-        x_letters = [("x", j) for j in range(1, self.k)]
-        for _ in range(syllables):
-            nxt = []
-            for w in layer:
-                last = w[-1][0] if w else None
-                for letter in (g_letters if last != "G" else []) + \
-                              (x_letters if last != "x" else []):
-                    nxt.append(w + (letter,))
-            out.extend(nxt)
-            layer = nxt
-        return out
-
 
 def single_letter_model(group: GroupTable, g: int, k: int) -> FreeProductModel:
     return FreeProductModel(group, g, k)
@@ -243,18 +243,45 @@ class MalnormalityReport:
 def malnormality_oracle(group: GroupTable, g: int, k: int,
                         max_syllables: int) -> MalnormalityReport:
     """Exhaustive check that the base group meets its conjugates trivially
-    in G * Z_k, over all conjugators of bounded syllable length."""
+    in G * Z_k, over all conjugators of bounded syllable length.
+
+    Conjugators u are visited breadth first: by syllable length, then
+    lexicographically with G-letters before x-letters, so ``checked`` and
+    any counterexample are those of the first failing u in that order.
+    Each length is walked depth first, with each prefix's conjugates kept
+    on the stack and the next ones got from
+    (p x)^-1 h (p x) = x^-1 (p^-1 h p) x; memory is O(L |G|).
+    """
     model = single_letter_model(group, g, k)
+    mul, in_base = model.mul, model.in_base_group
+    hs = group.nontrivial()
+    # (kind, x, x^-1) per one-letter word x, G-letters first
+    steps = [(kind, ((kind, v),), model.inv(((kind, v),)))
+             for kind, vals in (("G", hs), ("x", range(1, k))) for v in vals]
     checked = 0
-    for u in model.words_up_to(max_syllables):
-        if model.in_base_group(u):
-            continue
-        u_inv = model.inv(u)
-        for h in group.nontrivial():
-            value = model.mul(model.mul(u_inv, (("G", h),)), u)
-            checked += 1
-            if model.in_base_group(value):
-                return MalnormalityReport(False, (u, h, value), checked)
+
+    def walk(u: tuple, conjugates: list, depth: int):
+        nonlocal checked
+        if depth == 0:
+            if in_base(u):
+                return None
+            for h, value in zip(hs, conjugates):
+                checked += 1
+                if in_base(value):
+                    return u, h, value
+            return None
+        last = u[-1][0] if u else None
+        for kind, x, x_inv in steps:
+            if kind != last:
+                found = walk(u + x, [mul(mul(x_inv, c), x) for c in conjugates], depth - 1)
+                if found:
+                    return found
+        return None
+
+    for depth in range(max_syllables + 1):
+        found = walk((), [(("G", h),) for h in hs], depth)
+        if found:
+            return MalnormalityReport(False, found, checked)
     return MalnormalityReport(True, None, checked)
 
 

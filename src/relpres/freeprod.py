@@ -125,9 +125,20 @@ class FPWord:
             raise AmbientMismatch("operands live in different free products")
 
     def __mul__(self, other: "FPWord") -> "FPWord":
+        """Product of two normal forms.  They can cancel only where they
+        join, so letters are merged or cancelled at that seam and the
+        untouched parts of both operands are kept as they are."""
         self._require_same(other)
-        return self.ambient.word(
-            [(l.copy_index, l.element) for l in self.letters + other.letters])
+        a, b = self.letters, other.letters
+        g = self.ambient.group
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1].copy_index == b[j].copy_index:
+            merged = g.mul(a[i - 1].element, b[j].element)
+            if merged != g.identity:
+                return FPWord(self.ambient, a[:i - 1] + (FactorLetter(b[j].copy_index, merged),)
+                              + b[j + 1:])
+            i, j = i - 1, j + 1
+        return FPWord(self.ambient, a[:i] + b[j:])
 
     def inv(self) -> "FPWord":
         g = self.ambient.group

@@ -283,7 +283,8 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
     any trivial bigon this creates collapses to an edge.  A loop splits
     the sphere in two; the component without exterior markers is
     discarded after checking its pinch label is trivial, otherwise both
-    components return with the pinch vertices marked exterior.
+    components return with the pinch vertices marked exterior.  A pull
+    never discards the exterior face: that raises ``MoveError``.
     """
     d1, d2 = diagram.edges[edge_index]
     if diagram.edge_label[edge_index] != "1":
@@ -331,6 +332,8 @@ def _drop_edgeless_sphere(builder: MutableDiagram, fid: int) -> PullResult:
     label = first.corner * second.corner
     if not label.is_identity():
         raise MoveError(f"contraction leaves an edgeless sphere with label {label}")
+    if fid in builder.exterior_faces:
+        raise MoveError("contraction would drop the exterior face")
     builder.unpair(first.dart)
     del builder.faces[fid]
     builder.exterior_faces.discard(fid)
@@ -400,6 +403,8 @@ def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> P
                           tuple(c.to_diagram() for c, _ in sides),
                           tuple(labels))
     keep, drop = (sides[0], sides[1]) if marked[0] else (sides[1], sides[0])
+    if drop[0].exterior_faces:
+        raise MoveError("identity loop would discard the component with the exterior face")
     drop_label = pinch_label(*drop)
     if not drop_label.is_identity():
         raise MoveError(
@@ -569,9 +574,12 @@ def _identity_edges(d: Diagram) -> list[int]:
 
 def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
                     step_factor: int = 8) -> tuple[DiagramChain, MoveTrace]:
-    """Drive a spherical two-exterior-vertex diagram to a chain of clean
-    diagrams: pull identity edges, remove reducible pairs, merge adjacent
-    digons; splits extend the chain with conjugate pinch labels.
+    """Drive a spherical diagram to a chain of clean diagrams: pull
+    identity edges, remove reducible pairs, merge adjacent digons; splits
+    extend the chain with conjugate pinch labels.  The input is a
+    two-exterior-vertex sphere, a closed sphere that may cancel
+    completely, or a thickened diagram with an exterior face; a pull
+    that would discard the exterior face raises ``MoveError``.
 
     Deterministic: identity edges first, then reducible pairs, then digon
     adjacencies, always at the lowest dart id.
@@ -646,7 +654,8 @@ def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
             raise MoveError("reduced diagram fails validation: "
                             + "; ".join(report.failures))
         ok, witness = is_phi_reduced(d, pres)
-        assert ok, f"driver left a non-reduced diagram: {witness}"
+        if not ok:
+            raise MoveError(f"driver left a non-reduced diagram: {witness}")
         idx += 1
     return DiagramChain(tuple(chain)), MoveTrace(tuple(entries))
 
@@ -697,6 +706,12 @@ def replay_trace(diagram: Diagram, pres: RelPresentation, trace: MoveTrace
                 raise MoveError(f"trace {entry.move} darts {entry.edge_darts} are not an edge")
             if entry.move.startswith("pull"):
                 res = pull_identity_edge(d, ei)
+                if entry.move != "pull_" + res.kind:
+                    raise MoveError(f"trace {entry.move} replays as pull_{res.kind}")
+                if res.kind == "split" and tuple(entry.link_labels or ()) != tuple(
+                        str(p) for p in res.pinch_labels):
+                    raise MoveError(f"trace pull_split links {entry.link_labels} differ "
+                                    "from the pinch labels of the replayed split")
                 chain[idx:idx + 1] = list(res.diagrams)
             elif entry.move == "fill_hole":
                 chain[idx] = fill_hole(d, pres, ei)

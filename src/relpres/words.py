@@ -136,16 +136,19 @@ def t_letter(ambient: FreeProduct, sign: int = 1) -> TWord:
 
 
 def from_items(ambient: FreeProduct, items) -> TWord:
-    """Build a TWord from a list of FPWord segments and +-1 t-signs."""
-    out = h_word(ambient.one())
+    """Build a TWord from a list of FPWord segments and +-1 t-signs, in
+    one pass: each segment is multiplied into the last one."""
+    segs = [ambient.one()]
+    signs = []
     for item in items:
         if isinstance(item, FPWord):
-            out = out * h_word(item)
+            segs[-1] = segs[-1] * item
         elif item in (1, -1):
-            out = out * t_letter(ambient, item)
+            signs.append(item)
+            segs.append(ambient.one())
         else:
             raise TypeError(f"bad item {item!r}")
-    return out
+    return TWord(ambient, tuple(segs), tuple(signs))
 
 
 def is_unimodular(w: TWord) -> bool:

@@ -23,7 +23,7 @@ from relpres.search import EnumerationConfig, brute_force_enumerate, enumerate_d
 
 from fixtures import (S3, Z3, Z5, degenerate_digon, digon_chain, dumbbell, loop_split_sphere,
                       mirror_large_pair, path_sphere, pinch_pair, pres_s3, pres_z3,
-                      theta_digons, tripod)
+                      theta_digons)
 
 PRES = pres_z3(2)
 X = PRES.ambient.from_name("x")
@@ -87,11 +87,13 @@ def _digest(form: str) -> str:
 
 def _move_fixtures():
     """Spheres built from the fixtures ``tests/test_moves.py`` moves, each
-    of which ``reduce_to_chain`` takes to a chain."""
+    of which ``reduce_to_chain`` takes to a chain.  (The thickened tripod
+    is not one: its pulls would drop the exterior face, which the driver
+    refuses.)"""
     p3 = pres_z3(3)
     return [(degenerate_digon(PRES, X), PRES), (mirror_large_pair(PRES), PRES),
            (mirror_large_pair(p3), p3), (loop_split_sphere(PRES, X), PRES),
-           (loop_split_sphere(PRES, Y), PRES), (thicken(tripod(Z3, 1, X)), PRES),
+           (loop_split_sphere(PRES, Y), PRES), (thicken(dumbbell(PRES, Y, X, [Y, X])), PRES),
            (thicken(dumbbell(PRES, X, Y, [X])), PRES),
            (thicken(dumbbell(PRES, X, Y, [X, Y, X])), PRES),
            (theta_digons(PRES, X, Y), PRES), (digon_chain(PRES, [X, Y, X]), PRES),

@@ -108,6 +108,19 @@ class TestDiagram:
         files = doc["result"]["chain_files"]
         assert all((outdir / f).exists() for f in files)
 
+    def test_reduce_refuses_dropping_the_exterior_face(self, capsys, tmp_path):
+        import sys
+        sys.path.insert(0, os.path.dirname(__file__))
+        from fixtures import Z3, pres_z3, tripod
+        from relpres.moves import thicken
+        d = thicken(tripod(Z3, 1, pres_z3(2).ambient.from_name("x")))
+        dfile = tmp_path / "tripod.json"
+        dfile.write_text(json.dumps(d.to_dict()))
+        code, doc = run(capsys, "diagram", "reduce", "--in", str(dfile),
+                        "--pres", fixture("pres_z3_k2.json"), "--out", str(tmp_path / "chain"))
+        assert code == 2
+        assert list(doc) == ["error"] and "exterior face" in doc["error"]
+
     def test_reduce_over_step_bound_is_resource(self, capsys, tmp_path, monkeypatch):
         import functools
         from relpres import cli

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from relpres.conjugacy import (StuckSignal, center_certificate, digon_step,
-                               malnormality_oracle, prefix_trace,
-                               reduce_conjugator, single_letter_model)
+from relpres.conjugacy import (FreeProductModel, MalnormalityReport, StuckSignal,
+                               center_certificate, digon_step, malnormality_oracle,
+                               prefix_trace, reduce_conjugator, single_letter_model)
 from relpres.freeprod import FreeProduct
 from relpres.presentation import initial_rewrite, minimize
 from relpres.words import TWord, from_items, parse_word, t_letter
 
-from fixtures import Z2, Z3, Z4, pres_z3
+from fixtures import S3, Z2, Z3, Z4, Z5, pres_z3
 
 PRES = pres_z3(2)       # one copy level: bottom slice is copy 0
 AMB = PRES.ambient
@@ -228,6 +228,42 @@ class TestFreeProductModel:
         assert len(set(images)) == len(words)
 
 
+def model_words_up_to(model, syllables):
+    """Every normal form of at most the given syllable count, breadth
+    first: by length, then G-letters before x-letters after each prefix.
+    This is the conjugator order the oracle keeps."""
+    out = [()]
+    layer = [()]
+    g_letters = [("G", v) for v in model.group.nontrivial()]
+    x_letters = [("x", j) for j in range(1, model.k)]
+    for _ in range(syllables):
+        nxt = []
+        for w in layer:
+            last = w[-1][0] if w else None
+            for letter in (g_letters if last != "G" else []) + \
+                          (x_letters if last != "x" else []):
+                nxt.append(w + (letter,))
+        out.extend(nxt)
+        layer = nxt
+    return out
+
+
+def reference_oracle(group, g, k, max_syllables):
+    """The oracle over the whole breadth-first word list, with every
+    conjugate normalized from its full letter sequence."""
+    model = single_letter_model(group, g, k)
+    checked = 0
+    for u in model_words_up_to(model, max_syllables):
+        if model.in_base_group(u):
+            continue
+        for h in group.nontrivial():
+            value = model.normalize(model.inv(u) + (("G", h),) + u)
+            checked += 1
+            if model.in_base_group(value):
+                return MalnormalityReport(False, (u, h, value), checked)
+    return MalnormalityReport(True, None, checked)
+
+
 class TestMalnormalityOracle:
     def test_dihedral_example(self):
         rep = malnormality_oracle(Z2, 1, 2, 4)
@@ -246,9 +282,60 @@ class TestMalnormalityOracle:
 
     def test_base_group_words_skipped(self):
         m = single_letter_model(Z2, 1, 2)
-        words = m.words_up_to(2)
+        words = model_words_up_to(m, 2)
         outside = [u for u in words if not m.in_base_group(u)]
         assert (("G", 1),) not in outside and () not in outside
+
+    # (group, g, k, max syllables): the README command, the check script's
+    # z5 command and the benchmark's oracle settings
+    SETTINGS = [(Z4, 1, 2, 6), (Z5, 1, 3, 8), (S3, 1, 2, 8), (Z3, 1, 4, 8), (Z5, 2, 2, 7),
+                (S3, 3, 3, 6), (Z3, 2, 3, 8)]
+
+    @pytest.mark.parametrize("group,g,k,length", SETTINGS)
+    def test_streaming_matches_breadth_first_reference(self, group, g, k, length):
+        rep = malnormality_oracle(group, g, k, length)
+        assert rep == reference_oracle(group, g, k, length)
+
+    @pytest.mark.parametrize("group,k", [(Z2, 2), (Z3, 3), (Z4, 3), (S3, 2), (S3, 4)])
+    def test_holds_false_is_a_bug(self, group, k):
+        """Free factors of a free product are malnormal: G meets u^-1 G u
+        trivially for every u of G * Z_k outside G.  So ``holds: false`` in
+        this model is a bug in the oracle, never a counterexample."""
+        for g in group.nontrivial():
+            rep = malnormality_oracle(group, g, k, 5)
+            assert rep.holds and rep.counterexample is None, rep.counterexample
+
+    @pytest.mark.parametrize("pick", [0, 7, 0.5, -1], ids=["first", "early", "middle", "last"])
+    def test_same_first_hit_when_a_value_is_flagged(self, monkeypatch, pick):
+        # every (u, h, value) the reference visits, in its order
+        model = single_letter_model(Z3, 1, 3)
+        visits = [(u, h, model.normalize(model.inv(u) + (("G", h),) + u))
+                  for u in model_words_up_to(model, 5) if not model.in_base_group(u)
+                  for h in Z3.nontrivial()]
+        target = visits[int(pick * (len(visits) - 1)) if isinstance(pick, float) else pick][2]
+        honest = FreeProductModel.in_base_group
+        monkeypatch.setattr(FreeProductModel, "in_base_group",
+                            lambda self, a: a == target or honest(self, a))
+        rep = malnormality_oracle(Z3, 1, 3, 5)
+        assert not rep.holds and rep.counterexample[2] == target
+        assert rep == reference_oracle(Z3, 1, 3, 5)
+
+
+class TestModelProduct:
+    """The seam-only model product against normalizing both operands."""
+
+    @pytest.mark.parametrize("group,k", [(Z3, 2), (Z4, 3), (S3, 2), (S3, 3)],
+                             ids=["Z3-k2", "Z4-k3", "S3-k2", "S3-k3"])
+    @given(data=st.data())
+    def test_matches_normalize(self, group, k, data):
+        model = single_letter_model(group, 1, k)
+        raw = st.lists(st.one_of(st.tuples(st.just("G"), st.integers(0, group.order - 1)),
+                                 st.tuples(st.just("x"), st.integers(0, k - 1))),
+                       max_size=10)
+        a, b, c = (model.normalize(data.draw(raw)) for _ in range(3))
+        assert model.mul(a, b) == model.normalize(a + b)
+        b = model.normalize(model.inv(a) + c)   # cancels a from the seam outward
+        assert model.mul(a, b) == model.normalize(a + b) == c
 
 
 class TestCenterCertificate:

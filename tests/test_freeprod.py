@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,7 @@ from relpres.freeprod import (AmbientMismatch, FreeProduct, ShiftDomainError,
                               conjugate_in_free_product)
 from relpres.groups import GroupTable, GroupTableError, cyclic_group
 
-from fixtures import Z3
+from fixtures import S3, Z3
 
 H1 = FreeProduct(Z3, 1)
 H2 = FreeProduct(Z3, 2)
@@ -56,6 +58,66 @@ class TestGroupTable:
                  [4, 3, 1, 2, 0]]
         with pytest.raises(GroupTableError):
             GroupTable(["e", "a", "b", "c", "d"], table)
+
+
+def cubic_associativity_error(names, table):
+    """The full triple loop: the error text of the first non-associative
+    triple in lexicographic order, or None for an associative table."""
+    n = len(names)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"not associative at ({names[a]},{names[b]},{names[c]})"
+    return None
+
+
+def dihedral(n):
+    """D_n: rotations r^i are 0..n-1, reflections s r^i are n..2n-1."""
+    def mul(x, y):
+        i, j = x % n, y % n
+        if x < n:
+            return (i + j) % n if y < n else n + (j - i) % n
+        return n + (i + j) % n if y < n else (j - i) % n
+    return GroupTable([f"g{x}" for x in range(2 * n)],
+                      [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)])
+
+
+def renumbered(group, rng):
+    perm = rng.sample(range(group.order), group.order)
+    names, table = [""] * group.order, [[0] * group.order for _ in range(group.order)]
+    for x in range(group.order):
+        names[perm[x]] = group.names[x]
+        for y in range(group.order):
+            table[perm[x]][perm[y]] = perm[group.table[x][y]]
+    return names, table
+
+
+class TestLightsAssociativity:
+    """Light's test over a generating set against the full triple loop."""
+
+    @pytest.mark.parametrize("group", [cyclic_group(1), cyclic_group(12), cyclic_group(31),
+                                       dihedral(5), dihedral(8), S3],
+                             ids=["Z1", "Z12", "Z31", "D5", "D8", "S3"])
+    def test_same_verdict_and_error_text(self, group):
+        rng = random.Random(group.order)
+        for _ in range(4):
+            names, table = renumbered(group, rng)
+            assert cubic_associativity_error(names, table) is None
+            assert GroupTable(names, table).table == tuple(map(tuple, table))
+            e = table.index(list(range(group.order)))
+            cells = [(a, b) for a in range(group.order) for b in range(group.order)
+                     if e not in (a, b, table[a][b])]
+            for a, b in rng.sample(cells, min(len(cells), 12)):
+                # one entry off: identity and inverses survive, associativity not
+                bad = [row[:] for row in table]
+                bad[a][b] = rng.choice([v for v in range(group.order)
+                                        if v not in (e, table[a][b])])
+                expect = cubic_associativity_error(names, bad)
+                assert expect is not None
+                with pytest.raises(GroupTableError) as err:
+                    GroupTable(names, bad)
+                assert str(err.value) == expect
 
 
 class TestNormalForm:
@@ -122,6 +184,32 @@ class TestGroupLaws:
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             H1.one() * H2.one()
+
+
+def normal_forms(ambient):
+    letters = st.tuples(st.integers(0, ambient.s), st.integers(0, ambient.group.order - 1))
+    return st.lists(letters, max_size=10).map(ambient.word)
+
+
+def full_product(a, b):
+    """The product by normalizing every letter of both operands."""
+    return a.ambient.word([(l.copy_index, l.element) for l in a.letters + b.letters])
+
+
+class TestSeamProduct:
+    """The seam-only product against normalizing the concatenated letters."""
+
+    @pytest.mark.parametrize("group", [Z3, S3], ids=["Z3", "S3"])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    @given(data=st.data())
+    def test_matches_full_normalization(self, group, s, data):
+        amb = FreeProduct(group, s)
+        a, b, c = (data.draw(normal_forms(amb)) for _ in range(3))
+        assert a * b == full_product(a, b)
+        # b = a^-1 c cancels a from the seam outward
+        b = full_product(a.inv(), c)
+        assert a * b == full_product(a, b) == c
+        assert b * a.inv() == full_product(b, a.inv())
 
 
 class TestCyclicReduce:

@@ -248,14 +248,29 @@ class TestReduceToChain:
         assert out.canonical_form() == db.canonical_form()
 
     def test_last_identity_edge_of_a_lone_face_is_dropped(self):
-        # the earlier pulls leave one bigon glued to itself by an identity
-        # edge; contracting it leaves an edgeless sphere with trivial label
+        # one bigon glued to itself by an identity edge, trivial corners:
+        # contracting it leaves an edgeless sphere with trivial label
+        amb = PRES.ambient
+        d = Diagram(amb, [[Slot(0, amb.one()), Slot(1, amb.one())]], {0: 1, 1: 0}, [0],
+                    edge_labels={frozenset((0, 1)): "1"})
+        res = pull_identity_edge(d, 0)
+        assert res.kind == "discarded"
+        assert [len(x.faces) for x in res.diagrams] == [0]
+
+    def test_pull_that_drops_the_exterior_face_is_refused(self):
+        # the thickened tripod has an exterior face and no exterior vertex;
+        # its pulls would discard the exterior face and leave one empty
+        # diagram, so the driver refuses it instead
         d = thicken(tripod(Z3, 1, X))
-        chain, trace = reduce_to_chain(d, PRES)
-        assert [e.move for e in trace.entries][-1] == "pull_discarded"
-        assert [len(x.faces) for x in chain.diagrams] == [0]
-        assert replay_trace(d, PRES, trace).diagrams[0].canonical_form() == \
-            chain.diagrams[0].canonical_form()
+        assert len(d.exterior_faces) == 1 and not d.exterior_vertices
+        with pytest.raises(MoveError, match="exterior face"):
+            reduce_to_chain(d, PRES)
+
+    def test_non_reduced_result_is_a_move_error(self, monkeypatch):
+        from relpres import moves
+        monkeypatch.setattr(moves, "is_phi_reduced", lambda d, pres: (False, "witness"))
+        with pytest.raises(MoveError, match="non-reduced diagram: witness"):
+            reduce_to_chain(degenerate_digon(PRES, X), PRES)
 
     def test_edgeless_sphere_with_label_is_refused(self):
         amb = PRES.ambient
@@ -280,6 +295,19 @@ class TestReduceToChain:
         _, trace = reduce_to_chain(d, PRES)
         bad = MoveTrace((dataclasses.replace(trace.entries[0], **tamper),))
         with pytest.raises(MoveError, match="matches no chain diagram|are not"):
+            replay_trace(d, PRES, bad)
+
+    @pytest.mark.parametrize("tamper", [{"link_labels": ("y", "y")},
+                                        {"link_labels": None},
+                                        {"move": "pull_whatever"},
+                                        {"move": "pull_contracted"}],
+                             ids=["edited-links", "no-links", "renamed", "other-pull"])
+    def test_pull_entry_must_match_the_replayed_pull(self, tamper):
+        d = loop_split_sphere(PRES, X)
+        _, trace = reduce_to_chain(d, PRES)
+        assert trace.entries[0].move == "pull_split"
+        bad = MoveTrace((dataclasses.replace(trace.entries[0], **tamper),))
+        with pytest.raises(MoveError, match="pull_split"):
             replay_trace(d, PRES, bad)
 
     def test_replay_reproduces_chain(self):

@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from relpres.freeprod import FreeProduct
+from relpres.freeprod import FPWord, FreeProduct
 from relpres.words import (WordParseError, cyclic_equal, cyclic_rotations,
                            from_items, h_word, is_cyclically_reduced,
                            is_unimodular, parse_h_word, parse_word,
-                           t_exponent_residue, word_str)
+                           t_exponent_residue, t_letter, word_str)
 
 from fixtures import Z3
 
@@ -116,6 +116,31 @@ def twords(draw, ambient=BASE):
         if i < len(signs):
             items.append(signs[i])
     return from_items(ambient, items)
+
+
+def fold_from_items(ambient, items):
+    """from_items as a left fold of TWord products, one item at a time."""
+    out = h_word(ambient.one())
+    for item in items:
+        out = out * (h_word(item) if isinstance(item, FPWord) else t_letter(ambient, item))
+    return out
+
+
+class TestFromItems:
+    """The one-pass build against the fold of products."""
+
+    @given(st.lists(st.one_of(
+        st.sampled_from((1, -1)),
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), max_size=4).map(H1.word)),
+        max_size=16))
+    def test_matches_fold(self, items):
+        out = from_items(H1, items)
+        assert out == fold_from_items(H1, items)
+        assert len(out.segments) == len(out.signs) + 1
+
+    def test_bad_item(self):
+        with pytest.raises(TypeError):
+            from_items(BASE, [1, 2])
 
 
 class TestExponentSum:
