@@ -14,9 +14,10 @@ rewrite`` and ``verify`` of a 21 t-letter word; ``diagram reduce`` on
 both digon fixtures and on five spheres from ``tests/fixtures.py`` that
 need pulls, splits, hole fills and digon merges, with every chain file
 and the ``--trace`` file; and ``search enumerate`` at three faces and
-``--brute-force`` at two faces on both ``pres_*`` fixtures.  Each line is
-``<sha256>  <name>``, with the exit code after a command's name; compare
-two checkouts' lines with ``diff``.
+``--brute-force`` at two faces on both ``pres_*`` fixtures, each with one
+and with two digon syllables (two syllables give many small multisets).
+Each line is ``<sha256>  <name>``, with the exit code after a command's
+name; compare two checkouts' lines with ``diff``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ for _pres in PRES:
         (f"search-3-{_name}", ["search", "enumerate", "--pres", _pres, "--max-faces", "3"]),
         (f"brute-2-{_name}", ["search", "enumerate", "--pres", _pres, "--max-faces", "2",
                               "--brute-force"]),
+        (f"search-3-d2-{_name}", ["search", "enumerate", "--pres", _pres, "--max-faces", "3",
+                                  "--digon-syllables", "2"]),
+        (f"brute-2-d2-{_name}", ["search", "enumerate", "--pres", _pres, "--max-faces", "2",
+                                 "--brute-force", "--digon-syllables", "2"]),
     ]
 
 

@@ -8,6 +8,7 @@ JSON documents carrying a run manifest (inputs hashed, no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -314,7 +315,10 @@ def cmd_search_enumerate(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="relpres",
         description="Exact tools for one-relator relative presentations, "

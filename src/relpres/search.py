@@ -18,27 +18,38 @@ reasons, both sound because a glued link never reopens an orbit:
   two), and a connected sphere with E edges and F faces has
   ``V = E - F + 2`` vertices.
 
-At a leaf (a complete gluing) a ``LeafCheck`` runs first.  Inside a
-search every edge is labelled t and its arrow dart is the plus dart, so
-a face's class and the labels ``reducible_pairs`` compares depend on its
-template alone; ``_face_table`` computes them once per
-``enumerate_diagrams`` call, as ids in a list indexed by template
-position.  The check reads that table and the corner chains with
-integers only: two nontrivial closed labels, ``closed - E + F == 2``,
-every face large or a digon, no edge between distinct faces joining two
-digons or two mutually inverse labels, and one component.  It is exact,
-and only gluings that pass it reach ``_marked_survivor``, which still
-builds, validates and marks every survivor.
+Inside a search every edge is labelled t and its arrow dart is the plus
+dart, so everything the search reads about a face depends on its
+template alone.  ``_template_table`` computes it once per
+``enumerate_diagrams`` call as one ``TemplateRecord`` per template, on
+integers with darts numbered inside the face: the corner links and
+labels ``CornerChains`` starts from, the plus and minus darts and their
+balance, the multiset-key name, and the face table (the face's class
+and ids of the labels ``reducible_pairs`` compares).  A multiset's
+arrays are its records laid end to end, each shifted by the darts
+before it; ``_balanced_combos`` sums the balances.
+
+At a leaf (a complete gluing) a ``LeafCheck`` runs first.  It reads the
+records and the corner chains with integers only: two nontrivial closed
+labels, ``closed - E + F == 2``, every face large or a digon, no edge
+between distinct faces joining two digons or two mutually inverse
+labels, and one component.  It is exact, and only gluings that pass it
+reach ``_marked_survivor``, which still builds, validates and marks
+every survivor; the ``Slot`` lists it needs (``_dart_layout``) are built
+at the first leaf of a multiset that passes.
 
 ``matchings_tried`` counts the leaves reached, i.e. the complete gluings
 that survive both prunes; ``checked`` counts the leaves that passed the
 leaf check; ``nodes`` counts the dart pairs glued.
-``brute_force_enumerate`` prunes nothing and serves as the oracle.
+``brute_force_enumerate`` prunes nothing and serves as the oracle: it
+builds the ``Slot`` lists of every multiset and hands every permutation
+to ``_marked_survivor``, with no corner chains and no leaf check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import maps
@@ -74,12 +85,9 @@ class FaceTemplate:
     word: FPWord | None = None
 
     @property
-    def plus_darts(self) -> int:
-        return sum(1 for e in self.signs if e == 1)
-
-    @property
-    def minus_darts(self) -> int:
-        return len(self.signs) - self.plus_darts
+    def key(self) -> str:
+        """The template's name in ``counts_per_multiset`` keys."""
+        return self.kind if self.word is None else f"{self.kind}[{self.word}]"
 
 
 def face_templates(config: EnumerationConfig) -> list[FaceTemplate]:
@@ -99,19 +107,19 @@ def face_templates(config: EnumerationConfig) -> list[FaceTemplate]:
     return out
 
 
-def _balanced_combos(templates: list[FaceTemplate], max_faces: int):
-    """Template positions of each multiset whose plus and minus darts balance."""
-    n = len(templates)
+def _balanced_combos(balances: Sequence[int], max_faces: int):
+    """Template positions of each multiset whose plus and minus darts
+    balance; ``balances[i]`` is template ``i``'s plus darts less its
+    minus darts."""
+    n = len(balances)
     for total in range(1, max_faces + 1):
         for combo in itertools.combinations_with_replacement(range(n), total):
-            plus = sum(templates[i].plus_darts for i in combo)
-            minus = sum(templates[i].minus_darts for i in combo)
-            if plus == minus:
+            if not sum(map(balances.__getitem__, combo)):
                 yield combo
 
 
 def _balanced_multisets(templates: list[FaceTemplate], max_faces: int):
-    for combo in _balanced_combos(templates, max_faces):
+    for combo in _balanced_combos([sum(t.signs) for t in templates], max_faces):
         yield [templates[i] for i in combo]
 
 
@@ -130,39 +138,63 @@ def _dart_layout(multiset: list[FaceTemplate]):
     return faces, plus, minus
 
 
-def _multiset_key(multiset: list[FaceTemplate]) -> tuple[str, ...]:
-    return tuple(t.kind + ("" if t.word is None else f"[{t.word}]") for t in multiset)
-
-
 def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
                      arrows: list[int]) -> Diagram | None:
     """The glued diagram with its two poles marked exterior, or None when
     it is not a connected, valid, reduced sphere with exactly two
-    nontrivially-labeled vertices."""
-    diagram = Diagram(pres.ambient, faces, pairing, arrows)
-    if not diagram.is_connected() or diagram.chi != 2:
+    nontrivially-labeled vertices.  The vertex count and the poles come
+    from the integer corner orbits, so a gluing with ``V - E + F != 2``
+    or with other than two poles builds no ``Diagram``."""
+    cycles = maps.corner_cycles([[slot.dart for slot in face] for face in faces], pairing)
+    if len(cycles) - len(pairing) // 2 + len(faces) != 2:
         return None
-    poles = [orbit[0] for v, orbit in enumerate(diagram.vertices)
-             if not diagram.vertex_label(v).is_identity()]
+    poles = []
+    for orbit in cycles:
+        label = pres.ambient.one()
+        for fi, si in orbit:
+            label = label * faces[fi][si].corner
+        if not label.is_identity():
+            poles.append(orbit[0])
     if len(poles) != 2:
         return None
     marked = Diagram(pres.ambient, faces, pairing, arrows, exterior_vertex_seeds=poles)
+    if not marked.is_connected():
+        return None
     if not validate_howie(marked, pres, allow_null_faces=False).ok:
         return None
     ok, _ = is_phi_reduced(marked, pres)
     return marked if ok else None
 
 
-FaceData = tuple[str, tuple[int, ...], tuple[int, ...]]
+Label = tuple[tuple[int, int], ...]   # normal-form letters (copy, element)
 
 
-def _face_table(templates: list[FaceTemplate], pres: RelPresentation) -> list[FaceData]:
-    """Per template position: the face's class and, for each slot ``s``,
-    the id of the reduced label read from ``s`` and the id of the inverse
-    of the reduced label ending at ``s`` (the two words
-    ``reducible_pairs`` compares).  A face's senses are its template
-    signs (see the module docstring); equal words get equal ids across
-    templates."""
+@dataclass(frozen=True)
+class TemplateRecord:
+    """One template's share of a multiset's search arrays, with darts
+    numbered from 0 inside the face; a multiset's arrays concatenate its
+    records, each shifted by the darts before it."""
+    template: FaceTemplate
+    darts: int
+    prev: tuple[int, ...]             # prev_corner of each dart
+    labels: tuple[Label, ...]         # corner label at the head of each dart
+    plus: tuple[int, ...]             # along-arrow darts
+    minus: tuple[int, ...]            # against-arrow darts
+    balance: int                      # len(plus) - len(minus)
+    key: str                          # name in counts_per_multiset keys
+    kind: str                         # class of the face
+    read: tuple[int, ...]             # id of the reduced label read from each slot
+    ending_inv: tuple[int, ...]       # id of the inverse of the label ending there
+
+
+def _template_table(templates: list[FaceTemplate], pres: RelPresentation
+                    ) -> list[TemplateRecord]:
+    """One record per template position.  The face-table part is the
+    face's class and, for each slot ``s``, the id of the reduced label
+    read from ``s`` and the id of the inverse of the reduced label ending
+    at ``s`` (the two words ``reducible_pairs`` compares).  A face's
+    senses are its template signs (see the module docstring); equal words
+    get equal ids across templates."""
     ambient = pres.ambient
     ids: dict[TWord, int] = {}
 
@@ -171,38 +203,50 @@ def _face_table(templates: list[FaceTemplate], pres: RelPresentation) -> list[Fa
 
     table = []
     for tpl in templates:
+        n = len(tpl.signs)
         kind = classify_label(ambient, pres, label_from(ambient, tpl.corners, tpl.signs)).kind
-        slots = range(len(tpl.signs))
         read = tuple(word_id(label_from(ambient, tpl.corners, tpl.signs, s).free_reduce())
-                     for s in slots)
+                     for s in range(n))
         ending_inv = tuple(word_id(label_ending(ambient, tpl.corners, tpl.signs, s)
-                                   .free_reduce().inv().free_reduce()) for s in slots)
-        table.append((kind, read, ending_inv))
+                                   .free_reduce().inv().free_reduce()) for s in range(n))
+        table.append(TemplateRecord(
+            template=tpl, darts=n, prev=tuple((i - 1) % n for i in range(n)),
+            labels=tuple(tuple((l.copy_index, l.element) for l in c.letters)
+                         for c in tpl.corners),
+            plus=tuple(i for i, e in enumerate(tpl.signs) if e == 1),
+            minus=tuple(i for i, e in enumerate(tpl.signs) if e != 1),
+            balance=sum(tpl.signs), key=tpl.key, kind=kind, read=read, ending_inv=ending_inv))
     return table
 
 
 class LeafCheck:
     """``_marked_survivor``'s tests on one multiset's complete gluings,
-    read off the face table and the corner chains with no ``Diagram``.
-    ``passes`` is exact: it is True exactly when ``_marked_survivor``
-    returns a diagram, which still builds and decides every such gluing."""
+    read off the template records and the corner chains with no
+    ``Diagram``.  ``passes`` is exact: it is True exactly when
+    ``_marked_survivor`` returns a diagram, which still builds and decides
+    every such gluing.  Also holds the multiset's templates and its plus
+    and minus darts, numbered face by face from 0 as in ``_dart_layout``."""
 
-    def __init__(self, face_data: list[FaceData], faces: list[list[Slot]], plus: list[int]):
-        """``face_data[f]`` is the face table entry of face ``f``'s template."""
-        self.faces = faces
-        self.plus = plus
-        self.classes_ok = all(kind in ("large", "digon") for kind, _, _ in face_data)
-        self.digon = [kind == "digon" for kind, _, _ in face_data]
+    def __init__(self, records: list[TemplateRecord]):
+        self.multiset = [rec.template for rec in records]
+        self.classes_ok = all(rec.kind in ("large", "digon") for rec in records)
+        self.digon = [rec.kind == "digon" for rec in records]
+        self.plus: list[int] = []
+        self.minus: list[int] = []
         self.face_of: list[int] = []
         self.read: list[int] = []
         self.ending_inv: list[int] = []
-        for f, (_, read, ending_inv) in enumerate(face_data):
-            self.face_of.extend([f] * len(read))
-            self.read.extend(read)
-            self.ending_inv.extend(ending_inv)
+        offset = 0
+        for f, rec in enumerate(records):
+            self.plus += [offset + d for d in rec.plus]
+            self.minus += [offset + d for d in rec.minus]
+            self.face_of += [f] * rec.darts
+            self.read += rec.read
+            self.ending_inv += rec.ending_inv
+            offset += rec.darts
 
     def passes(self, chains: "CornerChains", pairing: dict[int, int]) -> bool:
-        faces = len(self.faces)
+        faces = len(self.digon)
         if not self.classes_ok or chains.nontrivial != 2:
             return False
         if chains.closed - len(self.plus) + faces != 2:       # V - E + F
@@ -218,9 +262,6 @@ class LeafCheck:
                 return False
         links = ((face_of[a], face_of[pairing[a]]) for a in self.plus)
         return len(maps.components(faces, links)) == 1
-
-
-Label = tuple[tuple[int, int], ...]   # normal-form letters (copy, element)
 
 
 def _seam_product(left: Label, right: Label, mul, identity: int) -> Label:
@@ -239,30 +280,31 @@ def _seam_product(left: Label, right: Label, mul, identity: int) -> Label:
 class CornerChains:
     """Vertex orbits of a partial gluing, kept up to date pair by pair.
 
-    Darts are numbered face by face from 0 (``_dart_layout``), so corner
-    ``c`` is the corner at the head of dart ``c``, and ``prev_corner[x]``
-    is the corner that dart ``x`` leaves.  Gluing ``a`` to ``b`` adds the
-    corner links ``prev_corner[a] -> b`` and ``prev_corner[b] -> a``, the
-    steps of the corner rotation of ``maps``.  Linked corners form open
-    chains and closed cycles; each open chain keeps its ends in
-    ``first``/``last`` (valid at the opposite end only) and the product of
-    its corner labels at its first corner.  ``closed``, ``open`` and
-    ``nontrivial`` (closed cycles with a nontrivial label) are the
-    counters the prunes read; ``unglue`` undoes the last ``glue``.
+    Darts are numbered face by face from 0 (as in ``_dart_layout``), so
+    corner ``c`` is the corner at the head of dart ``c``, and
+    ``prev_corner[x]`` is the corner that dart ``x`` leaves; both start as
+    the multiset's template records laid end to end.  Gluing ``a`` to
+    ``b`` adds the corner links ``prev_corner[a] -> b`` and
+    ``prev_corner[b] -> a``, the steps of the corner rotation of ``maps``.
+    Linked corners form open chains and closed cycles; each open chain
+    keeps its ends in ``first``/``last`` (valid at the opposite end only)
+    and the product of its corner labels at its first corner.  ``closed``,
+    ``open`` and ``nontrivial`` (closed cycles with a nontrivial label)
+    are the counters the prunes read; ``unglue`` undoes the last ``glue``.
     """
 
-    def __init__(self, faces: list[list[Slot]], group):
+    def __init__(self, records: list[TemplateRecord], group):
         self.prev_corner: list[int] = []
         self.label: list[Label] = []
-        for face in faces:
-            self.prev_corner.extend(face[i - 1].dart for i in range(len(face)))
-            self.label.extend(tuple((l.copy_index, l.element) for l in slot.corner.letters)
-                              for slot in face)
-        n = len(self.label)
-        self.first = list(range(n))
-        self.last = list(range(n))
+        offset = 0
+        for rec in records:
+            self.prev_corner += [offset + p for p in rec.prev]
+            self.label += rec.labels
+            offset += rec.darts
+        self.first = list(range(offset))
+        self.last = list(range(offset))
         self.closed = 0
-        self.open = n
+        self.open = offset
         self.nontrivial = 0
         self._mul = group.mul
         self._identity = group.identity
@@ -333,44 +375,45 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
     a search short.
     """
     result = EnumerationResult()
-    templates = face_templates(config)
-    table = _face_table(templates, config.presentation)
-    for combo in _balanced_combos(templates, config.max_interior_faces):
-        multiset = [templates[i] for i in combo]
-        survivors, complete = _enumerate_multiset(
-            config, multiset, [table[i] for i in combo], result)
+    table = _template_table(face_templates(config), config.presentation)
+    for combo in _balanced_combos([rec.balance for rec in table], config.max_interior_faces):
+        records = [table[i] for i in combo]
+        survivors, complete = _enumerate_multiset(config, records, result)
         for form, diagram in survivors.items():
             name = form if config.symmetry_dedup else f"{form}#{len(result.survivors)}"
             if name not in result.survivors:
                 result.survivors[name] = diagram
-        result.counts_per_multiset[_multiset_key(multiset)] = len(survivors)
+        result.counts_per_multiset[tuple(rec.key for rec in records)] = len(survivors)
         result.complete = result.complete and complete
     return result
 
 
-def _enumerate_multiset(config: EnumerationConfig, multiset: list[FaceTemplate],
-                        face_data: list[FaceData], result: EnumerationResult):
+def _enumerate_multiset(config: EnumerationConfig, records: list[TemplateRecord],
+                        result: EnumerationResult):
     """Survivors of one multiset by canonical form (the last gluing found
     wins) and whether the search ran to the end; leaves, checked leaves,
     nodes and prunes are added to ``result``."""
     pres = config.presentation
-    faces, plus, minus = _dart_layout(multiset)
-    chains = CornerChains(faces, pres.group)
-    check = LeafCheck(face_data, faces, plus)
+    chains = CornerChains(records, pres.group)
+    check = LeafCheck(records)
+    plus, minus = check.plus, check.minus
     n = len(plus)
-    spheres_need = n - len(faces) + 2      # vertices of a connected sphere
+    spheres_need = n - len(records) + 2      # vertices of a connected sphere
     bound = config.max_matchings_per_multiset
     survivors: dict[str, Diagram] = {}
     pairing: dict[int, int] = {}
+    faces = None                             # Slot lists, built at the first passing leaf
     nodes = leaves = checked = labels_cut = euler_cut = 0
 
     def backtrack(i: int) -> bool:
         """False once the node bound cuts the search short."""
-        nonlocal nodes, leaves, checked, labels_cut, euler_cut
+        nonlocal nodes, leaves, checked, labels_cut, euler_cut, faces
         if i == n:
             leaves += 1
             if check.passes(chains, pairing):
                 checked += 1
+                if faces is None:
+                    faces = _dart_layout(check.multiset)[0]
                 marked = _marked_survivor(pres, faces, pairing, plus)
                 if marked is not None:
                     survivors[marked.canonical_form()] = marked
@@ -434,7 +477,7 @@ def brute_force_enumerate(config: EnumerationConfig) -> EnumerationResult:
                 if form not in result.survivors:
                     result.survivors[form] = marked
                 count += 1
-        result.counts_per_multiset[_multiset_key(multiset)] = count
+        result.counts_per_multiset[tuple(t.key for t in multiset)] = count
     return result
 
 
@@ -449,18 +492,24 @@ class AuditEntry:
 @dataclass(frozen=True)
 class CurvatureAudit:
     ok: bool
-    total: str
+    total: str | None                 # None when the weight rule does not apply
     entries: tuple[AuditEntry, ...]
 
 
 def curvature_audit(diagram: Diagram, pres: RelPresentation) -> CurvatureAudit:
     """Check the curvature signs the weight rule forces on clean diagrams:
     nonpositive everywhere inside, exactly two at the two poles, the side
-    count at least twice the negative-special count, total four."""
+    count at least twice the negative-special count, total four.  When
+    the weight rule does not apply (for example a digon with two positive
+    corners), the audit fails with one "weight-rule" entry giving the
+    reason."""
     ok_phi, witness = is_phi_reduced(diagram, pres)
     if not ok_phi:
         raise DiagramError(f"curvature audit needs a clean diagram: {witness}")
-    rule = curvature_weights(diagram, pres)
+    try:
+        rule = curvature_weights(diagram, pres)
+    except DiagramError as exc:
+        return CurvatureAudit(False, None, (AuditEntry("weight-rule", -1, str(exc), False),))
     report = diagram.curvature(rule.weights)
     entries = []
     ok = True

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -168,6 +170,19 @@ class TestSearch:
         assert all(s["degenerate_digon"] and s["audit_ok"]
                    for s in doc["result"]["survivors"])
 
+    @pytest.mark.parametrize("name,survivors,degenerate", [("pres_z3_k2.json", 5, 2),
+                                                           ("pres_z2_k2.json", 2, 1)])
+    def test_four_faces_is_not_a_usage_error(self, capsys, name, survivors, degenerate):
+        # the weight rule does not apply to the non-degenerate survivors
+        # (a digon with two positive corners); their audit fails, typed
+        code, doc = run(capsys, "search", "enumerate", "--pres", fixture(name),
+                        "--max-faces", "4", "--digon-syllables", "2")
+        assert code == 0 and "error" not in doc
+        found = doc["result"]["survivors"]
+        assert len(found) == survivors
+        assert sum(s["degenerate_digon"] for s in found) == degenerate
+        assert all(s["audit_ok"] == s["degenerate_digon"] for s in found)
+
 
 class TestBadPresentation:
     @pytest.mark.parametrize("k", [-2, 0, 1])
@@ -184,6 +199,26 @@ class TestBadPresentation:
 
 
 class TestDeterminism:
+    def test_repeated_calls_match_separate_processes(self, capsys):
+        # main() reuses one parser per process; a run of calls in one
+        # process prints what each call prints in a process of its own
+        argvs = [["word", "check", "--group", fixture("z3.json"), "--word", "x t y t^-1 x t"],
+                 ["word", "check", "--group", fixture("z3.json"), "--word", "x t y t"],
+                 ["word", "check"],
+                 ["presentation", "verify", "--pres", fixture("pres_z3_k2.json")],
+                 ["search", "enumerate", "--pres", fixture("pres_z2_k2.json"),
+                  "--max-faces", "2"],
+                 ["word", "check", "--group", fixture("z3.json"), "--word", "q t"],
+                 ["word", "check", "--group", fixture("z3.json"), "--word", "x t y t^-1 x t"]]
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in argvs:
+            code = main(list(argv))
+            out = capsys.readouterr().out
+            alone = subprocess.run([sys.executable, "-m", "relpres.cli", *argv], env=env,
+                                   capture_output=True, text=True, check=False)
+            assert (code, out) == (alone.returncode, alone.stdout)
+
     def test_same_inputs_same_bytes(self, capsys):
         argv = ["search", "enumerate", "--pres", fixture("pres_z3_k2.json"),
                 "--max-faces", "1"]

@@ -1,21 +1,35 @@
 import itertools
+import json
 import math
+import os
 import random
 
 import pytest
 
 from relpres import search
-from relpres.diagram import Diagram, DiagramError, Slot, is_degenerate_digon
+from relpres.diagram import (Diagram, DiagramError, classify_label, is_degenerate_digon,
+                             label_ending, label_from)
+from relpres.freeprod import FreeProduct
 from relpres.maps import corner_cycles
-from relpres.presentation import minimize
-from relpres.search import (CornerChains, EnumerationConfig, LeafCheck, SearchBoundExceeded,
-                            _balanced_combos, _balanced_multisets, _dart_layout,
-                            _face_table, brute_force_enumerate, curvature_audit,
-                            enumerate_diagrams, face_templates)
+from relpres.presentation import initial_rewrite, minimize
+from relpres.search import (CornerChains, EnumerationConfig, FaceTemplate, LeafCheck,
+                            SearchBoundExceeded, TemplateRecord, _balanced_combos,
+                            _balanced_multisets, _dart_layout, _template_table,
+                            brute_force_enumerate, curvature_audit, enumerate_diagrams,
+                            face_templates)
+from relpres.words import parse_word
 
-from fixtures import degenerate_digon, mirror_large_pair, pres_s3, pres_z2, pres_z3
+from fixtures import Z3, degenerate_digon, mirror_large_pair, pres_s3, pres_z2, pres_z3
 
 PRES = pres_z3(2)
+
+
+def criterion_4_minimized_k3():
+    """The minimized k = 3 presentation acceptance criterion 4 searches."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "rewrite_corpus.json"),
+              encoding="utf-8") as fh:
+        word = json.load(fh)["words"][0]
+    return minimize(initial_rewrite(Z3, parse_word(word, FreeProduct(Z3, 0)), 3))
 
 
 class TestTemplates:
@@ -69,6 +83,34 @@ class TestEnumeration:
         assert res.complete
         assert all(is_degenerate_digon(d, PRES) for d in res.survivors.values())
         assert len(res.survivors) == 2
+
+    @pytest.mark.parametrize("pres,three,four,degenerate,matchings", [
+        (pres_z3(2), 2, 5, 2, 262), (pres_s3(2), 5, 20, 5, 2341), (pres_z2(2), 1, 2, 1, 89)],
+        ids=["z3", "s3", "z2"])
+    def test_pinned_survivors_agree_with_brute_force(self, pres, three, four, degenerate,
+                                                    matchings):
+        # at three faces only degenerate digons survive; at four faces the
+        # multisets relator+ relator- digon digon add spheres that are not
+        # degenerate, and the weight rule does not apply to them
+        for faces, survivors in ((3, three), (4, four)):
+            cfg = EnumerationConfig(pres, max_interior_faces=faces, digon_syllables=2)
+            fast = enumerate_diagrams(cfg)
+            slow = brute_force_enumerate(cfg)
+            assert fast.complete
+            assert fast.canonical_forms() == slow.canonical_forms()
+            assert len(fast.survivors) == survivors
+            plain = [d for d in fast.survivors.values() if not is_degenerate_digon(d, pres)]
+            if faces == 3:
+                assert not plain
+                continue
+            assert len(plain) == four - degenerate
+            assert slow.matchings_tried == matchings
+            for d in plain:
+                assert sorted(len(f) for f in d.faces) == [2, 2, 2, 2]
+                audit = curvature_audit(d, pres)
+                assert not audit.ok and audit.total is None
+                assert [(e.kind, e.ok) for e in audit.entries] == [("weight-rule", False)]
+                assert "two positive corners" in audit.entries[0].value
 
     def test_counts_per_multiset_recorded(self):
         cfg = EnumerationConfig(PRES, max_interior_faces=1, digon_syllables=1)
@@ -129,6 +171,56 @@ def _multisets(pres, max_faces, digon_syllables):
     return list(_balanced_multisets(face_templates(cfg), max_faces))
 
 
+def _layouts(pres, max_faces, digon_syllables):
+    """(template records, Slot lists, plus darts, minus darts) of every
+    balanced multiset, in search order."""
+    cfg = EnumerationConfig(pres, max_interior_faces=max_faces,
+                            digon_syllables=digon_syllables)
+    templates = face_templates(cfg)
+    table = _template_table(templates, pres)
+    return [([table[i] for i in combo], *_dart_layout([templates[i] for i in combo]))
+            for combo in _balanced_combos([rec.balance for rec in table], max_faces)]
+
+
+class TestTemplateTable:
+    @pytest.mark.parametrize("pres", [pres_z3(2), pres_s3(2), criterion_4_minimized_k3()],
+                             ids=["z3", "s3", "z3-k3-min"])
+    def test_offset_arrays_match_slot_layout(self, pres):
+        # every array the search reads, built from the template records
+        # laid end to end, against the same array read off the Slot lists
+        amb = pres.ambient
+        words = {}                 # id -> word, shared by every multiset
+        layouts = _layouts(pres, 3, 2)
+        assert layouts
+        for records, faces, plus, minus in layouts:
+            chains = CornerChains(records, pres.group)
+            check = LeafCheck(records)
+            darts = [slot.dart for face in faces for slot in face]
+            assert darts == list(range(len(darts)))
+            assert chains.prev_corner == [face[i - 1].dart for face in faces
+                                          for i in range(len(face))]
+            assert chains.label == [tuple((l.copy_index, l.element) for l in slot.corner.letters)
+                                    for face in faces for slot in face]
+            assert chains.first == chains.last == darts and chains.open == len(darts)
+            assert (check.plus, check.minus) == (plus, minus)
+            assert check.face_of == [f for f, face in enumerate(faces) for _ in face]
+            digon = []
+            for face in faces:
+                corners = [slot.corner for slot in face]
+                senses = [1 if slot.dart in plus else -1 for slot in face]
+                kind = classify_label(amb, pres, label_from(amb, corners, senses)).kind
+                digon.append(kind == "digon")
+                for s, slot in enumerate(face):
+                    read = label_from(amb, corners, senses, s).free_reduce()
+                    ending = label_ending(amb, corners, senses, s).free_reduce()
+                    ending_inv = ending.inv().free_reduce()
+                    assert words.setdefault(check.read[slot.dart], read) == read
+                    assert words.setdefault(check.ending_inv[slot.dart],
+                                            ending_inv) == ending_inv
+            assert check.digon == digon
+        assert len(set(words.values())) == len(words)      # one id per word
+
+
 def _recount(faces, pairing):
     """From scratch: closed orbits, nontrivial closed labels, and each open
     chain as first corner -> (last corner, label)."""
@@ -160,10 +252,9 @@ class TestCornerChains:
                                                 (minimize(pres_z3(3)), 2)])
     def test_state_matches_recount_on_random_paths(self, pres, max_faces):
         rng = random.Random(max_faces * 31 + pres.k)
-        multisets = _multisets(pres, max_faces, 1)
-        for multiset in rng.sample(multisets, min(6, len(multisets))):
-            faces, plus, minus = _dart_layout(multiset)
-            chains = CornerChains(faces, pres.group)
+        layouts = _layouts(pres, max_faces, 1)
+        for records, faces, plus, minus in rng.sample(layouts, min(6, len(layouts))):
+            chains = CornerChains(records, pres.group)
             pairing, glued = {}, []
             for _ in range(4 * len(plus)):
                 if len(glued) < len(plus) and (not glued or rng.random() < 0.7):
@@ -195,9 +286,10 @@ class TestPruneSoundness:
         real = search.LeafCheck.passes
 
         def leaf(check, chains, pairing):
-            reached.add((tuple(map(tuple, check.faces)), tuple(sorted(pairing.items()))))
+            faces = _dart_layout(check.multiset)[0]
+            reached.add((tuple(map(tuple, faces)), tuple(sorted(pairing.items()))))
             ok = real(check, chains, pairing)
-            survivor = search._marked_survivor(pres, check.faces, pairing, check.plus)
+            survivor = search._marked_survivor(pres, faces, pairing, check.plus)
             assert ok == (survivor is not None)
             passed.append(ok)
             return ok
@@ -239,16 +331,11 @@ class TestLeafCheck:
         ids=["z3", "z2", "z3-k3", "s3", "z3-3", "z3-k3-3", "s3-3", "z3-min", "s3-min"])
     def test_agrees_with_marked_survivor_on_every_gluing(self, pres, digon_syllables,
                                                         max_faces):
-        cfg = EnumerationConfig(pres, max_interior_faces=max_faces,
-                                digon_syllables=digon_syllables)
-        templates = face_templates(cfg)
-        table = _face_table(templates, pres)
         outcomes = []
-        for combo in _balanced_combos(templates, max_faces):
-            faces, plus, minus = _dart_layout([templates[i] for i in combo])
-            check = LeafCheck([table[i] for i in combo], faces, plus)
+        for records, faces, plus, minus in _layouts(pres, max_faces, digon_syllables):
+            check = LeafCheck(records)
             for perm in itertools.permutations(minus):
-                chains = CornerChains(faces, pres.group)
+                chains = CornerChains(records, pres.group)
                 pairing = {}
                 for a, b in zip(plus, perm):
                     chains.glue(a, b)
@@ -262,18 +349,23 @@ class TestLeafCheck:
         # a self-glued digon sphere (two nontrivial vertices) beside a
         # one-face torus whose one vertex is trivial: V - E + F = 2 and
         # every test before the component test passes.  No template
-        # gluing has this shape, so the torus's table entry is hand-made.
+        # gluing has this shape, so the torus's record is hand-made.
         pres = PRES
         templates = face_templates(EnumerationConfig(pres, max_interior_faces=1))
         digon = next(i for i, t in enumerate(templates) if t.kind == "digon")
-        faces, plus, _ = _dart_layout([templates[digon]])
         one = pres.ambient.one()
-        faces.append([Slot(d, one) for d in range(2, 6)])
-        plus += [2, 3]
+        torus = TemplateRecord(
+            template=FaceTemplate("torus", (1, 1, -1, -1), (one,) * 4), darts=4,
+            prev=(3, 0, 1, 2), labels=((),) * 4, plus=(0, 1), minus=(2, 3), balance=0,
+            key="torus", kind="large", read=(100, 101, 102, 103),
+            ending_inv=(200, 201, 202, 203))
+        records = [_template_table(templates, pres)[digon], torus]
+        check = LeafCheck(records)
+        faces, plus, _ = _dart_layout(check.multiset)
+        assert [[slot.dart for slot in face] for face in faces] == [[0, 1], [2, 3, 4, 5]]
+        assert plus == check.plus == [1, 2, 3]
         pairing = {1: 0, 0: 1, 2: 4, 4: 2, 3: 5, 5: 3}
-        torus = ("large", (100, 101, 102, 103), (200, 201, 202, 203))
-        check = LeafCheck([_face_table(templates, pres)[digon], torus], faces, plus)
-        chains = CornerChains(faces, pres.group)
+        chains = CornerChains(records, pres.group)
         for a in plus:
             chains.glue(a, pairing[a])
         assert chains.nontrivial == 2
