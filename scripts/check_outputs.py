@@ -11,11 +11,14 @@ that holds a copy of ``fixtures/`` so that every path the manifest records
 is relative.  Covered: the stdout of every README command on the fixtures;
 ``conjugacy oracle`` over Z/5 at eight syllables; ``presentation
 rewrite`` and ``verify`` of a 21 t-letter word; ``diagram reduce`` on
-both digon fixtures and on five spheres from ``tests/fixtures.py`` that
-need pulls, splits, hole fills and digon merges, with every chain file
-and the ``--trace`` file; and ``search enumerate`` at three faces and
-``--brute-force`` at two faces on both ``pres_*`` fixtures, each with one
-and with two digon syllables (two syllables give many small multisets).
+both digon fixtures, on five spheres from ``tests/fixtures.py`` that need
+pulls, splits, hole fills and digon merges, and on a 12-digon chain, with
+every chain file and the ``--trace`` file; ``diagram curvature --weights
+rule --audit`` on the first four-face survivor over ``pres_z3_k2`` that
+is not a degenerate digon (the weight rule does not apply to it); and
+``search enumerate`` at three faces and ``--brute-force`` at two faces on
+both ``pres_*`` fixtures, each with one and with two digon syllables (two
+syllables give many small multisets).
 Each line is ``<sha256>  <name>``, with the exit code after a command's
 name; compare two checkouts' lines with ``diff``.
 """
@@ -91,8 +94,8 @@ def rewritten_presentation(work: str) -> None:
 def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
     """Write spheres from ``tests/fixtures.py`` that the driver must reduce;
     returns (name, diagram file, presentation file) triples."""
-    from fixtures import (dumbbell, loop_split_sphere, mirror_large_pair, pres_z3,
-                          theta_digons)
+    from fixtures import (digon_chain, dumbbell, loop_split_sphere, mirror_large_pair,
+                          pres_z3, theta_digons)
     from relpres.moves import thicken
 
     p2, p3 = pres_z3(2), pres_z3(3)
@@ -101,7 +104,8 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
                ("dumbbell", thicken(dumbbell(p2, x, y, [x, y, x])), p2),
                ("theta", theta_digons(p2, x, y), p2),
                ("mirror-k2", mirror_large_pair(p2), p2),
-               ("mirror-k3", mirror_large_pair(p3), p3)]
+               ("mirror-k3", mirror_large_pair(p3), p3),
+               ("chain-12", digon_chain(p2, [x] * 12), p2)]
     out = []
     for name, diagram, pres in spheres:
         for suffix, doc in (("", diagram.to_dict()), ("_pres", pres.to_dict())):
@@ -109,6 +113,24 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
                 json.dump(doc, fh, sort_keys=True)
         out.append((name, f"{name}.json", f"{name}_pres.json"))
     return out
+
+
+def four_face_survivor(work: str) -> str:
+    """Write the first survivor (in canonical-form order, as ``search
+    enumerate`` lists them) at four faces and two digon syllables over
+    ``pres_z3_k2`` that is not a degenerate digon; returns its file name."""
+    from relpres.diagram import is_degenerate_digon
+    from relpres.presentation import RelPresentation
+    from relpres.search import EnumerationConfig, enumerate_diagrams
+
+    pres = RelPresentation.from_file(os.path.join(work, PRES[0]))
+    found = enumerate_diagrams(EnumerationConfig(pres, max_interior_faces=4,
+                                                 digon_syllables=2)).survivors
+    d = next(found[form] for form in sorted(found)
+             if not is_degenerate_digon(found[form], pres))
+    with open(os.path.join(work, "survivor4.json"), "w", encoding="utf-8") as fh:
+        json.dump(d.to_dict(), fh, sort_keys=True)
+    return "survivor4.json"
 
 
 def digest(data: bytes) -> str:
@@ -126,6 +148,9 @@ def main() -> None:
         shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
         rewritten_presentation(work)
         commands = list(COMMANDS)
+        commands.append(("curvature-rule-survivor4",
+                         ["diagram", "curvature", "--in", four_face_survivor(work),
+                          "--weights", "rule", "--pres", PRES[0], "--audit"]))
         reduced = [("digon-z3", "fixtures/degenerate_digon_z3.json", PRES[0]),
                    ("digon-z2", "fixtures/degenerate_digon_z2.json", PRES[1])]
         for name, infile, pres in reduced + sphere_inputs(work):

@@ -165,12 +165,17 @@ def cmd_diagram_curvature(args) -> int:
             return USAGE
         pres = RelPresentation.from_file(args.pres)
         inputs.append(args.pres)
-        weights = curvature_weights(d, pres).weights
         if args.audit:
             audit = curvature_audit(d, pres)
             audit_doc = {"ok": audit.ok,
                          "entries": [[e.kind, e.index, e.value, e.ok]
                                      for e in audit.entries]}
+        try:
+            weights = curvature_weights(d, pres).weights
+        except DiagramError as exc:
+            # the weight rule does not apply: a violation, as the audit types it
+            result = {"audit": audit_doc} if audit_doc is not None else {"weight_rule": str(exc)}
+            return _emit(args, inputs, VIOLATION, result)
     else:
         with open(args.weights, encoding="utf-8") as fh:
             raw = json.load(fh)

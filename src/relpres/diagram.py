@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freeprod import FPWord, FreeProduct
 from .groups import GroupTable
@@ -27,6 +27,10 @@ from .presentation import RelPresentation
 from .words import TWord, cyclic_equal, from_items, word_str, parse_h_word
 
 WeightAssignment = Mapping[CornerRef, Fraction]
+
+# the text json.dumps gives a str under its default ensure_ascii=True,
+# without dumps's per-call set-up
+_json_str = json.encoder.encode_basestring_ascii
 
 
 class DiagramError(ValueError):
@@ -67,9 +71,79 @@ def label_ending(ambient: FreeProduct, corners: Sequence[FPWord],
     return from_items(ambient, items)
 
 
+def _word_key(w: TWord) -> tuple:
+    """Ints that are equal exactly when the words (of one ambient) are."""
+    return w.signs, tuple(tuple((l.copy_index, l.element) for l in seg.letters)
+                          for seg in w.segments)
+
+
+class FaceRecord:
+    """The values fixed by a face's content, its corners and pre-edge
+    senses (0 on an identity edge), each computed on first use and kept:
+    the label, per slot the reduced label read from that slot and the
+    inverse of the reduced label ending there (as ``_word_key`` keys,
+    which ``reducible_pairs`` compares), per slot the corner's JSON text,
+    and the face's class.  The class is kept for one presentation object
+    at a time, compared with ``is``."""
+
+    __slots__ = ("ambient", "corners", "senses", "_label", "_read", "_ending_inv",
+                 "_texts", "_pres", "_class")
+
+    def __init__(self, ambient: FreeProduct, corners: tuple[FPWord, ...],
+                 senses: tuple[int, ...]):
+        self.ambient = ambient
+        self.corners = corners
+        self.senses = senses
+        self._label: TWord | None = None
+        self._read: tuple | None = None
+        self._ending_inv: tuple | None = None
+        self._texts: tuple[str, ...] | None = None
+        self._pres: RelPresentation | None = None
+        self._class: FaceClass | None = None
+
+    def label(self) -> TWord:
+        if self._label is None:
+            self._label = label_from(self.ambient, self.corners, self.senses)
+        return self._label
+
+    def read(self) -> tuple:
+        if self._read is None:
+            self._read = tuple(
+                _word_key(label_from(self.ambient, self.corners, self.senses, s).free_reduce())
+                for s in range(len(self.corners)))
+        return self._read
+
+    def ending_inv(self) -> tuple:
+        if self._ending_inv is None:
+            self._ending_inv = tuple(
+                _word_key(label_ending(self.ambient, self.corners, self.senses, s)
+                          .free_reduce().inv().free_reduce())
+                for s in range(len(self.corners)))
+        return self._ending_inv
+
+    def corner_texts(self) -> tuple[str, ...]:
+        """Each corner as the canonical form writes it, up to its dart id."""
+        if self._texts is None:
+            self._texts = tuple(['{"c":' + _json_str(str(c)) + ',"d":' for c in self.corners])
+        return self._texts
+
+    def face_class(self, pres: RelPresentation) -> "FaceClass":
+        """Class of the face when it is interior."""
+        if self._pres is not pres:
+            self._class = classify_label(self.ambient, pres, self.label())
+            self._pres = pres
+        return self._class
+
+
 class Diagram:
-    """Immutable validated map; all derived structure computed up front,
-    except the canonical form, computed on first use and kept."""
+    """Immutable validated map.  The combinatorial structure is computed
+    up front.  What depends on one face's content alone is kept in a
+    ``FaceRecord`` per face, made on first use; the records are found in
+    ``face_memo``, keyed by each slot's corner letters and sense.  A
+    diagram made by a move (``moves.MutableDiagram.to_diagram``) shares
+    the memo of the diagram the move started from, so along a chain of
+    moves each distinct face is read once.  The canonical form is
+    computed on first use and kept."""
 
     def __init__(self,
                  ambient: FreeProduct,
@@ -152,6 +226,8 @@ class Diagram:
         if self.chi % 2 != 0:
             raise DiagramError(f"odd Euler characteristic {self.chi}")
         self._canonical: str | None = None
+        self.face_memo: dict[tuple, FaceRecord] = {}
+        self._records: list[FaceRecord] | None = None
 
     # -- structure ------------------------------------------------------
 
@@ -200,21 +276,32 @@ class Diagram:
             out = out * self.corner(ref)
         return out
 
-    def _face_senses(self, fi: int) -> list[int]:
-        """Per slot of a face: the sense of its pre-edge, or 0 on an
-        identity edge, which contributes no t-letter."""
-        return [self.sense(slot.dart) if self.edge_label[self.edge_of_dart[slot.dart]] == "t"
-                else 0 for slot in self.faces[fi]]
+    def face_records(self) -> list[FaceRecord]:
+        """The record of each face's content, found in ``face_memo`` or
+        added to it on the first call."""
+        if self._records is None:
+            edge_of, arrow_of, label_of = self.edge_of_dart, self.arrow_of_edge, self.edge_label
+            memo, records = self.face_memo, []
+            for face in self.faces:
+                # per slot, the sense of its pre-edge, or 0 on an identity
+                # edge, which contributes no t-letter
+                senses = tuple([0 if label_of[edge_of[s.dart]] != "t"
+                                else 1 if arrow_of[edge_of[s.dart]] == s.dart else -1
+                                for s in face])
+                key = (senses, tuple([s.corner.letters for s in face]))
+                rec = memo.get(key)
+                if rec is None:
+                    rec = memo[key] = FaceRecord(self.ambient, tuple([s.corner for s in face]),
+                                                 senses)
+                records.append(rec)
+            self._records = records
+        return self._records
 
     def face_label(self, fi: int, start: int = 0) -> TWord:
         """Label written starting with the pre-edge of the given slot."""
-        return label_from(self.ambient, [slot.corner for slot in self.faces[fi]],
-                          self._face_senses(fi), start)
-
-    def face_label_ending(self, fi: int, end: int) -> TWord:
-        """Label written so that the pre-edge of slot ``end`` is last."""
-        return label_ending(self.ambient, [slot.corner for slot in self.faces[fi]],
-                            self._face_senses(fi), end)
+        rec = self.face_records()[fi]
+        return rec.label() if start == 0 else label_from(self.ambient, rec.corners,
+                                                          rec.senses, start)
 
     # -- corner combinatorics ---------------------------------------------
 
@@ -290,12 +377,15 @@ class Diagram:
         amb_data = data["ambient"]
         group = GroupTable(amb_data["names"], amb_data["table"])
         ambient = FreeProduct(group, amb_data["s"])
+        parsed = {"": ambient.one()}        # corner texts repeat; words are immutable
         faces = []
         for f in data["faces"]:
             slots = []
             for s in f["slots"]:
                 text = s.get("corner", "")
-                corner = parse_h_word(text, ambient) if text else ambient.one()
+                corner = parsed.get(text)
+                if corner is None:
+                    corner = parsed[text] = parse_h_word(text, ambient)
                 slots.append(Slot(s["dart"], corner))
             faces.append(slots)
         pairing = {}
@@ -339,6 +429,17 @@ def _array(items: Iterable[str]) -> str:
     return "[" + ",".join(items) + "]"
 
 
+def _pieces(groups: Iterable[list[str]]) -> Iterator[str]:
+    """The text of the JSON array of every group's items, in pieces: one
+    per nonempty group, then the closing bracket."""
+    sep = "["
+    for items in groups:
+        if items:
+            yield sep + ",".join(items)
+            sep = ","
+    yield "[]" if sep == "[" else "]"
+
+
 class _CanonicalLabeller:
     """Canonical form of one diagram, serializing only the winning seed.
 
@@ -349,7 +450,9 @@ class _CanonicalLabeller:
     JSON array, no complete one a proper prefix of another, so two seeds'
     documents compare as their values' texts do, key by key.  Seeds are
     narrowed by one key's text at a time, and the form is joined from the
-    texts of the one left.  Texts are compared, not numbers: JSON orders
+    texts of the one left.  A key's text is built a face at a time, and a
+    seed is dropped as soon as its text so far is greater than the least
+    one's (``narrow``).  Texts are compared, not numbers: JSON orders
     ``10`` before ``9``.
     """
 
@@ -370,9 +473,9 @@ class _CanonicalLabeller:
         self.mate_rot = [j - start[self.face_of[j]] for j in self.mate]
         arrows = set(d.arrow_of_edge.values())
         self.arrow = [slot.dart in arrows for slot in slots]
-        self.label = [json.dumps(lab) if lab != "t" else None     # JSON text, if listed
+        self.label = [_json_str(lab) if lab != "t" else None     # JSON text, if listed
                       for lab in (d.edge_label[d.edge_of_dart[slot.dart]] for slot in slots)]
-        self.corner = ['{"c":' + json.dumps(str(slot.corner)) + ',"d":' for slot in slots]
+        self.corner = [text for rec in d.face_records() for text in rec.corner_texts()]
         self.num = [str(k) for k in range(len(slots))]
         self.dart = [k + "}" for k in self.num]
         self.ext_orbits = [[start[fi] + si for fi, si in d.vertices[v]]
@@ -386,7 +489,11 @@ class _CanonicalLabeller:
         best: str | None = None
         seeds: list[tuple[list[int], list[int]]] = []
         for f0, rings in enumerate(self.rings):
-            for r0 in range(len(rings)):
+            for r0, ring in enumerate(rings):
+                # every edge has an arrow dart, so the least "a" text starts
+                # "[0": its seed's first slot is an arrow dart
+                if not self.arrow[ring[0]]:
+                    continue
                 seed = self.traverse(f0, r0, best)
                 if seed is None:
                     continue
@@ -396,12 +503,33 @@ class _CanonicalLabeller:
                 else:
                     seeds.append((seq, order))
         doc = {"a": best}
-        for key, text_of in self.keys:
-            texts = [text_of(seq, order) for seq, order in seeds]
-            doc[key] = least = min(texts)
-            if len(seeds) > 1:
-                seeds = [seed for seed, text in zip(seeds, texts) if text == least]
+        for key, pieces_of in self.keys:
+            doc[key], seeds = self.narrow(pieces_of, seeds)
         return "{" + ",".join(f'"{key}":{text}' for key, text in doc.items()) + "}"
+
+    @staticmethod
+    def narrow(pieces_of, seeds: list) -> tuple[str, list]:
+        """The least of the seeds' texts of one key, and the seeds that
+        give it.  A seed is dropped at the first piece of its text that
+        is greater than the same stretch of the least text so far."""
+        least: str | None = None
+        kept: list = []
+        for seed in seeds:
+            text, bound = "", least
+            for piece in pieces_of(*seed):
+                if bound is not None:
+                    known = bound[len(text):len(text) + len(piece)]
+                    if piece > known:
+                        break
+                    if piece < known:
+                        bound = None
+                text += piece
+            else:
+                if least is None or text < least:
+                    least, kept = text, [seed]
+                elif text == least:
+                    kept.append(seed)
+        return least, kept
 
     def traverse(self, f0: int, r0: int, best: str | None
                  ) -> tuple[list[int], list[int], str] | None:
@@ -447,34 +575,42 @@ class _CanonicalLabeller:
             ids[i] = k
         return ids
 
-    def faces(self, seq: list[int], order: list[int]) -> str:
-        corner, dart = self.corner, self.dart
-        out = []
+    def _spans(self, order: list[int]) -> Iterator[range]:
+        """Per face in walk order, the dart ids of its slots."""
         k = 0
         for f in order:
             n = len(self.rings[f])
-            out.append(_array([corner[seq[m]] + dart[m] for m in range(k, k + n)]))
+            yield range(k, k + n)
             k += n
-        return _array(out)
 
-    def labels(self, seq: list[int], order: list[int]) -> str:
+    def faces(self, seq: list[int], order: list[int]) -> Iterable[str]:
+        corner, dart = self.corner, self.dart
+        sep = "["
+        for span in self._spans(order):
+            yield sep + _array([corner[seq[m]] + dart[m] for m in span])
+            sep = ","
+        yield "]"
+
+    def labels(self, seq: list[int], order: list[int]) -> Iterable[str]:
         ids, mate, label, num = self._ids(seq), self.mate, self.label, self.num
-        return _array(["[" + num[k] + "," + label[i] + "]" for k, i in enumerate(seq)
-                       if label[i] and ids[mate[i]] > k])
+        return _pieces(["[" + num[k] + "," + label[seq[k]] + "]" for k in span
+                        if label[seq[k]] and ids[mate[seq[k]]] > k]
+                       for span in self._spans(order))
 
-    def pairs(self, seq: list[int], order: list[int]) -> str:
+    def pairs(self, seq: list[int], order: list[int]) -> Iterable[str]:
         ids, mate, num = self._ids(seq), self.mate, self.num
-        return _array(["[" + num[k] + "," + num[ids[mate[i]]] + "]" for k, i in enumerate(seq)
-                       if ids[mate[i]] > k])
+        return _pieces(["[" + num[k] + "," + num[ids[mate[seq[k]]]] + "]" for k in span
+                        if ids[mate[seq[k]]] > k]
+                       for span in self._spans(order))
 
-    def ext_faces(self, seq: list[int], order: list[int]) -> str:
+    def ext_faces(self, seq: list[int], order: list[int]) -> Iterable[str]:
         ext = self.d.exterior_faces
-        return _array([self.num[j] for j, f in enumerate(order) if f in ext])
+        return (_array([self.num[j] for j, f in enumerate(order) if f in ext]),)
 
-    def ext_vertices(self, seq: list[int], order: list[int]) -> str:
+    def ext_vertices(self, seq: list[int], order: list[int]) -> Iterable[str]:
         ids, num = self._ids(seq), self.num
         orbits = sorted(sorted(ids[i] for i in orbit) for orbit in self.ext_orbits)
-        return _array([_array([num[k] for k in orbit]) for orbit in orbits])
+        return (_array([_array([num[k] for k in orbit]) for orbit in orbits]),)
 
 
 @dataclass(frozen=True)
@@ -508,7 +644,7 @@ class FaceClass:
 def classify_face(diagram: Diagram, pres: RelPresentation, fi: int) -> FaceClass:
     if fi in diagram.exterior_faces:
         return FaceClass("exterior")
-    return classify_label(diagram.ambient, pres, diagram.face_label(fi))
+    return diagram.face_records()[fi].face_class(pres)
 
 
 def classify_label(ambient: FreeProduct, pres: RelPresentation, label: TWord) -> FaceClass:
@@ -666,17 +802,16 @@ def reducible_pairs(diagram: Diagram, interior_only: bool = True
                     ) -> list[tuple[int, int, int]]:
     """Edges whose two (distinct, interior) faces carry mutually inverse
     labels read from that edge: (edge index, face1, face2)."""
+    records, slot_of_dart = diagram.face_records(), diagram.slot_of_dart
     out = []
     for ei, (d1, d2) in enumerate(diagram.edges):
-        f1, s1 = diagram.slot_of_dart[d1]
-        f2, s2 = diagram.slot_of_dart[d2]
+        f1, s1 = slot_of_dart[d1]
+        f2, s2 = slot_of_dart[d2]
         if f1 == f2:
             continue
         if interior_only and (f1 in diagram.exterior_faces or f2 in diagram.exterior_faces):
             continue
-        a = diagram.face_label(f1, start=s1).free_reduce()
-        b_end = diagram.face_label_ending(f2, end=s2).free_reduce()
-        if a == b_end.inv().free_reduce():
+        if records[f1].read()[s1] == records[f2].ending_inv()[s2]:
             out.append((ei, f1, f2))
     return out
 
@@ -689,18 +824,13 @@ def is_reduced(diagram: Diagram) -> tuple[bool, list[tuple[int, int, int]]]:
 def digon_adjacencies(diagram: Diagram, pres: RelPresentation) -> list[tuple[int, int, int]]:
     """Edges shared by two distinct digon faces (forbidden when reduced
     diagrams are required to keep digons apart)."""
-    digon: dict[int, bool] = {}       # each face classified once, when first needed
-
-    def is_digon(fi: int) -> bool:
-        if fi not in digon:
-            digon[fi] = classify_face(diagram, pres, fi).kind == "digon"
-        return digon[fi]
-
+    digon = [classify_face(diagram, pres, fi).kind == "digon"
+             for fi in range(len(diagram.faces))]
     out = []
     for ei, (d1, d2) in enumerate(diagram.edges):
         f1 = diagram.slot_of_dart[d1][0]
         f2 = diagram.slot_of_dart[d2][0]
-        if f1 != f2 and is_digon(f1) and is_digon(f2):
+        if f1 != f2 and digon[f1] and digon[f2]:
             out.append((ei, f1, f2))
     return out
 

@@ -3,7 +3,9 @@ pulls, strip thickening, the reduction driver, and cyclic gluing.
 
 All moves work on a mutable copy and rebuild an immutable Diagram, so a
 failed precondition can never corrupt the input.  Exterior-vertex markers
-ride on corners and survive corner merges.
+ride on corners and survive corner merges.  The rebuilt diagram shares the
+face records (``Diagram.face_memo``) of the one the move started from, so
+a face the move leaves alone is not read again.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class MutableDiagram:
         self.arrow: set[int] = set()
         self.label: dict[frozenset, str] = {}
         self.exterior_faces: set[int] = set()
+        self.face_memo: dict = {}       # shared with the diagrams built from this one
         self._next_face = 0
         self._next_dart = 0
 
@@ -62,6 +65,7 @@ class MutableDiagram:
         b.arrow = {d.arrow_of_edge[ei] for ei in range(len(d.edges))}
         b.label = {frozenset(e): d.edge_label[ei] for ei, e in enumerate(d.edges)}
         b.exterior_faces = set(d.exterior_faces)
+        b.face_memo = d.face_memo
         b._next_dart = max(d.pairing, default=-1) + 1
         return b
 
@@ -121,8 +125,10 @@ class MutableDiagram:
             faces.append([Slot(s.dart, s.corner) for s in slots])
             seeds.extend((new_fi, si) for si, s in enumerate(slots) if s.mark)
         ext_faces = [order.index(f) for f in self.exterior_faces if f in self.faces]
-        return Diagram(self.ambient, faces, self.pairing, self.arrow,
-                       dict(self.label), ext_faces, seeds)
+        out = Diagram(self.ambient, faces, self.pairing, self.arrow,
+                      dict(self.label), ext_faces, seeds)
+        out.face_memo = self.face_memo
+        return out
 
 
 # -- elementary surgeries -------------------------------------------------
@@ -424,6 +430,7 @@ def _split_components(builder: MutableDiagram) -> list[MutableDiagram]:
     for group in groups:
         members = [fids[i] for i in group]
         part = MutableDiagram(builder.ambient)
+        part.face_memo = builder.face_memo
         part._next_dart = builder._next_dart
         part._next_face = builder._next_face
         for f in members:

@@ -53,11 +53,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import maps
-from .diagram import (Diagram, DiagramError, Slot, classify_label, curvature_weights,
-                      is_phi_reduced, label_ending, label_from, validate_howie)
+from .diagram import (Diagram, DiagramError, FaceRecord, Slot, curvature_weights,
+                      is_phi_reduced, validate_howie)
 from .freeprod import FPWord
 from .presentation import RelPresentation, RewriteError
-from .words import TWord
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -192,23 +191,21 @@ def _template_table(templates: list[FaceTemplate], pres: RelPresentation
     """One record per template position.  The face-table part is the
     face's class and, for each slot ``s``, the id of the reduced label
     read from ``s`` and the id of the inverse of the reduced label ending
-    at ``s`` (the two words ``reducible_pairs`` compares).  A face's
-    senses are its template signs (see the module docstring); equal words
-    get equal ids across templates."""
-    ambient = pres.ambient
-    ids: dict[TWord, int] = {}
+    at ``s`` (the two words ``reducible_pairs`` compares), all read off
+    the template's ``FaceRecord``.  A face's senses are its template
+    signs (see the module docstring); equal words get equal ids across
+    templates."""
+    ids: dict[tuple, int] = {}
 
-    def word_id(word: TWord) -> int:
-        return ids.setdefault(word, len(ids))
+    def word_ids(keys: tuple) -> tuple[int, ...]:
+        return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
     table = []
     for tpl in templates:
         n = len(tpl.signs)
-        kind = classify_label(ambient, pres, label_from(ambient, tpl.corners, tpl.signs)).kind
-        read = tuple(word_id(label_from(ambient, tpl.corners, tpl.signs, s).free_reduce())
-                     for s in range(n))
-        ending_inv = tuple(word_id(label_ending(ambient, tpl.corners, tpl.signs, s)
-                                   .free_reduce().inv().free_reduce()) for s in range(n))
+        face = FaceRecord(pres.ambient, tuple(tpl.corners), tuple(tpl.signs))
+        kind = face.face_class(pres).kind
+        read, ending_inv = word_ids(face.read()), word_ids(face.ending_inv())
         table.append(TemplateRecord(
             template=tpl, darts=n, prev=tuple((i - 1) % n for i in range(n)),
             labels=tuple(tuple((l.copy_index, l.element) for l in c.letters)

@@ -76,19 +76,23 @@ class TWord:
         return out
 
     def free_reduce(self) -> "TWord":
-        """Cancel adjacent t, t^-1 pairs separated by an identity segment."""
-        segs = list(self.segments)
-        signs = list(self.signs)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(signs) - 1):
-                if signs[i] == -signs[i + 1] and segs[i + 1].is_identity():
-                    merged = segs[i] * segs[i + 2]
-                    segs[i:i + 3] = [merged]
-                    del signs[i:i + 2]
-                    changed = True
-                    break
+        """Cancel adjacent t, t^-1 pairs separated by an identity segment.
+
+        One pass over the t-letters with the reduced prefix as a stack: a
+        letter that cancels the last one pops it, and the segment after it
+        joins the one before.  The reduced word is the free product's
+        normal form, so it does not depend on the order of cancellations.
+        """
+        segs = [self.segments[0]]
+        signs: list[int] = []
+        for e, h in zip(self.signs, self.segments[1:]):
+            if signs and signs[-1] == -e and segs[-1].is_identity():
+                signs.pop()
+                segs.pop()
+                segs[-1] = segs[-1] * h
+            else:
+                signs.append(e)
+                segs.append(h)
         return TWord(self.ambient, tuple(segs), tuple(signs))
 
     def cyclic_free_reduce(self) -> "TWord | FPWord":

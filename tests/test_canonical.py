@@ -173,6 +173,25 @@ class TestAgainstReference:
                     checked += 1
         assert checked > 30
 
+    def test_tie_heavy_digon_chain(self):
+        # half of the seeds of a digon chain tie on "a", so the later keys
+        # narrow many seeds
+        d = digon_chain(PRES, [X] * 32)
+        labeller = diagram_mod._CanonicalLabeller(d)
+        texts = [labeller.traverse(f0, r0, None)[2]
+                 for f0, rings in enumerate(labeller.rings) for r0 in range(len(rings))]
+        assert 2 * texts.count(min(texts)) == len(texts)
+        chain, trace = reduce_to_chain(d, PRES)
+        seen = set()
+        for n in range(len(trace.entries) + 1):
+            for x in replay_trace(d, PRES, MoveTrace(trace.entries[:n])).diagrams:
+                slow = slow_canonical_form(x)
+                assert x.canonical_form() == slow
+                seen.add(_digest(slow))
+        assert {e.before for e in trace.entries} | {h for e in trace.entries
+                                                    for h in e.after} == seen
+        assert {_digest(slow_canonical_form(x)) for x in chain.diagrams} <= seen
+
     @pytest.mark.parametrize("pres", [pres_z3(2), pres_z3(3), pres_s3(2), minimize(pres_z3(2))],
                              ids=["z3", "z3-k3", "s3", "z3-min"])
     def test_search_survivors_at_three_faces(self, pres):
@@ -207,6 +226,21 @@ class TestAgainstReference:
         assert Diagram(amb, [], {}, []).canonical_form() == '"empty"'
 
 
+class TestNarrow:
+    def test_least_text_and_every_seed_that_gives_it(self):
+        # short pieces over two letters: many ties, and many texts that are
+        # prefixes of others
+        rng = random.Random(3)
+        for _ in range(500):
+            pieces = [["".join(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+                       for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 8))]
+            seeds = [(i,) for i in range(len(pieces))]
+            least, kept = diagram_mod._CanonicalLabeller.narrow(lambda i: pieces[i], seeds)
+            texts = ["".join(p) for p in pieces]
+            assert least == min(texts)
+            assert kept == [(i,) for i, text in enumerate(texts) if text == least]
+
+
 class TestMemo:
     def test_traverses_once_per_instance(self, monkeypatch):
         d = thicken(dumbbell(PRES, X, Y, [X, Y]))
@@ -219,9 +253,11 @@ class TestMemo:
 
         monkeypatch.setattr(diagram_mod._CanonicalLabeller, "traverse", counted)
         first = d.canonical_form()
-        assert len(calls) == sum(len(f) for f in d.faces)
+        # one walk per seed whose first slot is an arrow dart
+        walked = len(calls)
+        assert walked == len(d.edges)
         assert d.canonical_form() is first
-        assert len(calls) == sum(len(f) for f in d.faces)
+        assert len(calls) == walked
 
     def test_round_trip_gives_the_same_string(self):
         rng = random.Random(5)

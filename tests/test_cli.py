@@ -82,6 +82,25 @@ class TestDiagram:
                         "--audit")
         assert code == 0 and doc["result"]["audit"]["ok"] is True
 
+    @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["plain", "audit"])
+    def test_curvature_rule_that_does_not_apply_is_a_violation(self, capsys, tmp_path, audit):
+        # the first four-face survivor that is not a degenerate digon has a
+        # digon with two positive corners, so the weight rule does not apply
+        code, doc = run(capsys, "search", "enumerate", "--pres", fixture("pres_z3_k2.json"),
+                        "--max-faces", "4", "--digon-syllables", "2")
+        survivor = next(s for s in doc["result"]["survivors"] if not s["degenerate_digon"])
+        path = tmp_path / "survivor.json"
+        path.write_text(json.dumps(survivor["diagram"]))
+        code, doc = run(capsys, "diagram", "curvature", "--in", str(path), "--weights", "rule",
+                        "--pres", fixture("pres_z3_k2.json"), *audit)
+        assert code == 1 and doc["manifest"]["exit_status"] == 1
+        reason = "digon 2 has two positive corners"
+        if audit:
+            assert doc["result"] == {"audit": {"ok": False,
+                                               "entries": [["weight-rule", -1, reason, False]]}}
+        else:
+            assert doc["result"] == {"weight_rule": reason}
+
     def test_validate(self, capsys):
         code, doc = run(capsys, "diagram", "validate",
                         "--in", fixture("degenerate_digon_z3.json"),

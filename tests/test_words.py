@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relpres.freeprod import FPWord, FreeProduct
-from relpres.words import (WordParseError, cyclic_equal, cyclic_rotations,
+from relpres.words import (TWord, WordParseError, cyclic_equal, cyclic_rotations,
                            from_items, h_word, is_cyclically_reduced,
                            is_unimodular, parse_h_word, parse_word,
                            t_exponent_residue, t_letter, word_str)
@@ -99,6 +99,59 @@ class TestReduction:
     def test_cyclic_not_equal(self):
         assert not cyclic_equal(tword("x t"), tword("y t"))
         assert not cyclic_equal(tword("x t"), tword("x t x t"))
+
+
+def restart_free_reduce(w: TWord) -> TWord:
+    """Free reduction that rescans from the left after each cancellation."""
+    segs, signs = list(w.segments), list(w.signs)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(signs) - 1):
+            if signs[i] == -signs[i + 1] and segs[i + 1].is_identity():
+                segs[i:i + 3] = [segs[i] * segs[i + 2]]
+                del signs[i:i + 2]
+                changed = True
+                break
+    return TWord(w.ambient, tuple(segs), tuple(signs))
+
+
+def _random_word(rng: random.Random, ambient, t_letters: int) -> TWord:
+    items = []
+    for _ in range(t_letters):
+        if rng.random() < 0.5:
+            items.append(ambient.word([(rng.randrange(ambient.s + 1), rng.randrange(3))]))
+        items.append(rng.choice((1, -1)))
+    return from_items(ambient, items)
+
+
+class TestFreeReduce:
+    """The one-pass stack reduction against the restarting loop."""
+
+    def test_cancellation_cascades(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                u = _random_word(rng, H1, rng.randint(0, 6))
+                # u u^-1 cancels from the middle out, one pair exposing the next
+                parts += [_random_word(rng, H1, rng.randint(0, 2)), u, u.inv()]
+            w = parts[0]
+            for part in parts[1:]:
+                w = w * part
+            assert w.free_reduce() == restart_free_reduce(w)
+
+    def test_full_cancellation(self):
+        rng = random.Random(9)
+        for n in range(12):
+            u = _random_word(rng, BASE, n)
+            assert (u * u.inv()).free_reduce() == h_word(BASE.one())
+
+    @given(st.lists(st.one_of(st.sampled_from((1, -1)), st.integers(0, 2).map(
+        lambda e: BASE.word([(0, e)]))), max_size=20))
+    def test_matches_restarting_loop(self, items):
+        w = from_items(BASE, items)
+        assert w.free_reduce() == restart_free_reduce(w)
 
 
 sign_lists = st.lists(st.sampled_from((1, -1)), max_size=6)
