@@ -18,7 +18,12 @@ rule --audit`` on the first four-face survivor over ``pres_z3_k2`` that
 is not a degenerate digon (the weight rule does not apply to it); and
 ``search enumerate`` at three faces and ``--brute-force`` at two faces on
 both ``pres_*`` fixtures, each with one and with two digon syllables (two
-syllables give many small multisets).
+syllables give many small multisets); ``search enumerate`` on two
+minimized k=2 rewrites over Z/3 with deep gluing trees: DEEP_WORD at
+three faces and two digon syllables (one pair, 11,706 nodes) and WORD at
+four faces, which stops at the node bound with exit code 3; and a
+negative ``--digon-syllables`` and ``--max-syllables``, which are usage
+errors.
 Each line is ``<sha256>  <name>``, with the exit code after a command's
 name; compare two checkouts' lines with ``diff``.
 """
@@ -39,7 +44,12 @@ WORD = "x t y t^-1 x t"
 # unimodular, 21 t-letters; it rewrites to two copies with two pairs
 WORD21 = ("x t y t x t^-1 y t x t^-1 y t^-1 x t y t x t^-1 x t y t^-1 y t x t^-1 "
           "y t x t^-1 x t y t^-1 x t y t^-1 x t^-1 y t")
+# minimizes at k = 2 to one pair, the shape of the deep s=1 benchmark search
+DEEP_WORD = "x t x t x t^-1 x t^-1 x t"
 PRES = ("fixtures/pres_z3_k2.json", "fixtures/pres_z2_k2.json")
+# (file, word over Z/3, k) of the minimized rewrites the library writes
+REWRITES = (("p21_pres.json", WORD21, 3), ("deep_pres.json", DEEP_WORD, 2),
+            ("bound_pres.json", WORD, 2))
 
 COMMANDS = [
     ("word-check", ["word", "check", "--group", "fixtures/z3.json", "--word", WORD]),
@@ -64,6 +74,14 @@ COMMANDS = [
     ("rewrite-21", ["presentation", "rewrite", "--group", "fixtures/z3.json",
                     "--word", WORD21, "--k", "3", "--out", "p21.json"]),
     ("verify-21", ["presentation", "verify", "--pres", "p21_pres.json"]),
+    ("search-3-d2-deep", ["search", "enumerate", "--pres", "deep_pres.json", "--max-faces", "3",
+                          "--digon-syllables", "2"]),
+    ("search-4-bound", ["search", "enumerate", "--pres", "bound_pres.json", "--max-faces", "4",
+                        "--digon-syllables", "1"]),
+    ("search-negative-digons", ["search", "enumerate", "--pres", PRES[0],
+                                "--digon-syllables", "-1"]),
+    ("oracle-negative-bound", ["conjugacy", "oracle", "--group", "fixtures/z4.json", "--g", "x",
+                               "--k", "2", "--max-syllables", "-1"]),
 ]
 for _pres in PRES:
     _name = os.path.basename(_pres)[:-5]
@@ -78,17 +96,17 @@ for _pres in PRES:
     ]
 
 
-def rewritten_presentation(work: str) -> None:
-    """Write ``p21_pres.json``, the minimized rewrite of WORD21 at k = 3
-    that ``verify-21`` checks."""
+def rewritten_presentations(work: str) -> None:
+    """Write the minimized rewrites of REWRITES that the commands read."""
     from relpres.freeprod import FreeProduct
     from relpres.presentation import initial_rewrite, minimize
     from relpres.words import parse_word
     from fixtures import Z3
 
-    pres = minimize(initial_rewrite(Z3, parse_word(WORD21, FreeProduct(Z3, 0)), 3))
-    with open(os.path.join(work, "p21_pres.json"), "w", encoding="utf-8") as fh:
-        json.dump(pres.to_dict(), fh, sort_keys=True)
+    for name, word, k in REWRITES:
+        pres = minimize(initial_rewrite(Z3, parse_word(word, FreeProduct(Z3, 0)), k))
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            json.dump(pres.to_dict(), fh, sort_keys=True)
 
 
 def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
@@ -146,7 +164,7 @@ def main() -> None:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
-        rewritten_presentation(work)
+        rewritten_presentations(work)
         commands = list(COMMANDS)
         commands.append(("curvature-rule-survivor4",
                          ["diagram", "curvature", "--in", four_face_survivor(work),

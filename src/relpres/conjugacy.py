@@ -251,7 +251,10 @@ def malnormality_oracle(group: GroupTable, g: int, k: int,
     Each length is walked depth first, with each prefix's conjugates kept
     on the stack and the next ones got from
     (p x)^-1 h (p x) = x^-1 (p^-1 h p) x; memory is O(L |G|).
+    Raises ``ValueError`` for a negative ``max_syllables``.
     """
+    if max_syllables < 0:
+        raise ValueError("max_syllables must be at least 0")
     model = single_letter_model(group, g, k)
     mul, in_base = model.mul, model.in_base_group
     hs = group.nontrivial()

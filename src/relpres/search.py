@@ -9,8 +9,8 @@ nontrivially-labeled vertices (marked exterior).
 
 The pruned search glues one dart pair per tree node and keeps the vertex
 orbits of the partial gluing up to date as closed corner cycles and open
-corner chains (``CornerChains``).  It cuts a branch for one of two
-reasons, both sound because a glued link never reopens an orbit:
+corner chains.  It cuts a branch for one of two reasons, both sound
+because a glued link never reopens an orbit:
 
 * labels: more than two closed vertices already carry nontrivial labels;
 * euler: ``closed + open < E - F + 2``.  Each link lowers the count of
@@ -23,20 +23,31 @@ dart, so everything the search reads about a face depends on its
 template alone.  ``_template_table`` computes it once per
 ``enumerate_diagrams`` call as one ``TemplateRecord`` per template, on
 integers with darts numbered inside the face: the corner links and
-labels ``CornerChains`` starts from, the plus and minus darts and their
-balance, the multiset-key name, and the face table (the face's class
-and ids of the labels ``reducible_pairs`` compares).  A multiset's
+corner label ids the walk starts from, the plus and minus darts and
+their balance, the multiset-key name, and the face table (the face's
+class and ids of the labels ``reducible_pairs`` compares).  A multiset's
 arrays are its records laid end to end, each shifted by the darts
 before it; ``_balanced_combos`` sums the balances.
 
+Corner labels are interned once per call in a ``CornerLabels`` table
+(id 0 is the identity), and the label of a chain is an id.  The product
+of two ids is memoised in that table's dict, keyed by the id pair, and
+``_seam_product`` computes only the misses.  The walk
+(``_enumerate_multiset``) keeps its state in flat integer lists, a
+``mate`` list with -1 for a free dart among them, and runs both links of
+a glue inline.  What a glue overwrites is kept in the recursive call's
+frame and written back after it returns, in reverse order, so a node is
+a few list reads and writes with no undo stack.
+
 At a leaf (a complete gluing) a ``LeafCheck`` runs first.  It reads the
-records and the corner chains with integers only: two nontrivial closed
-labels, ``closed - E + F == 2``, every face large or a digon, no edge
-between distinct faces joining two digons or two mutually inverse
-labels, and one component.  It is exact, and only gluings that pass it
+records, the walk's counters and ``mate`` with integers only: two
+nontrivial closed labels, ``closed - E + F == 2``, every face large or a
+digon, no edge between distinct faces joining two digons or two mutually
+inverse labels, and one component.  It is exact, and only gluings that pass it
 reach ``_marked_survivor``, which still builds, validates and marks
 every survivor; the ``Slot`` lists it needs (``_dart_layout``) are built
-at the first leaf of a multiset that passes.
+at the first leaf of a multiset that passes, and the ``pairing`` dict
+only for leaves that pass.
 
 ``matchings_tried`` counts the leaves reached, i.e. the complete gluings
 that survive both prunes; ``checked`` counts the leaves that passed the
@@ -74,6 +85,8 @@ class EnumerationConfig:
     def __post_init__(self):
         if self.max_interior_faces < 1:
             raise ValueError("need at least one face")
+        if self.digon_syllables < 0:
+            raise ValueError("digon syllable bound must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -168,6 +181,46 @@ def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
 Label = tuple[tuple[int, int], ...]   # normal-form letters (copy, element)
 
 
+def _seam_product(left: Label, right: Label, mul, identity: int) -> Label:
+    """Product of two normal-form labels; only letters at the seam cancel."""
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        copy = right[j][0]
+        element = mul(left[i - 1][1], right[j][1])
+        i -= 1
+        j += 1
+        if element != identity:
+            return left[:i] + ((copy, element),) + right[j:]
+    return left[:i] + right[j:]
+
+
+class CornerLabels:
+    """The corner labels of one ``enumerate_diagrams`` call, interned:
+    label id ``i`` stands for the normal form ``forms[i]``, and id 0 is
+    the identity.  ``products`` memoises the product of two ids, keyed by
+    the id pair; ``product`` computes a miss with ``_seam_product``."""
+
+    def __init__(self, group):
+        self.forms: list[Label] = [()]
+        self.ids: dict[Label, int] = {(): 0}
+        self.products: dict[tuple[int, int], int] = {}
+        self._mul = group.mul
+        self._identity = group.identity
+
+    def intern(self, form: Label) -> int:
+        i = self.ids.get(form)
+        if i is None:
+            i = self.ids[form] = len(self.forms)
+            self.forms.append(form)
+        return i
+
+    def product(self, x: int, y: int) -> int:
+        forms = self.forms
+        p = self.intern(_seam_product(forms[x], forms[y], self._mul, self._identity))
+        self.products[x, y] = p
+        return p
+
+
 @dataclass(frozen=True)
 class TemplateRecord:
     """One template's share of a multiset's search arrays, with darts
@@ -176,7 +229,7 @@ class TemplateRecord:
     template: FaceTemplate
     darts: int
     prev: tuple[int, ...]             # prev_corner of each dart
-    labels: tuple[Label, ...]         # corner label at the head of each dart
+    labels: tuple[int, ...]           # id of the corner label at the head of each dart
     plus: tuple[int, ...]             # along-arrow darts
     minus: tuple[int, ...]            # against-arrow darts
     balance: int                      # len(plus) - len(minus)
@@ -186,15 +239,15 @@ class TemplateRecord:
     ending_inv: tuple[int, ...]       # id of the inverse of the label ending there
 
 
-def _template_table(templates: list[FaceTemplate], pres: RelPresentation
-                    ) -> list[TemplateRecord]:
-    """One record per template position.  The face-table part is the
-    face's class and, for each slot ``s``, the id of the reduced label
-    read from ``s`` and the id of the inverse of the reduced label ending
-    at ``s`` (the two words ``reducible_pairs`` compares), all read off
-    the template's ``FaceRecord``.  A face's senses are its template
-    signs (see the module docstring); equal words get equal ids across
-    templates."""
+def _template_table(templates: list[FaceTemplate], pres: RelPresentation,
+                    labels: CornerLabels) -> list[TemplateRecord]:
+    """One record per template position, its corner labels interned in
+    ``labels``.  The face-table part is the face's class and, for each
+    slot ``s``, the id of the reduced label read from ``s`` and the id of
+    the inverse of the reduced label ending at ``s`` (the two words
+    ``reducible_pairs`` compares), all read off the template's
+    ``FaceRecord``.  A face's senses are its template signs (see the
+    module docstring); equal words get equal ids across templates."""
     ids: dict[tuple, int] = {}
 
     def word_ids(keys: tuple) -> tuple[int, ...]:
@@ -208,7 +261,7 @@ def _template_table(templates: list[FaceTemplate], pres: RelPresentation
         read, ending_inv = word_ids(face.read()), word_ids(face.ending_inv())
         table.append(TemplateRecord(
             template=tpl, darts=n, prev=tuple((i - 1) % n for i in range(n)),
-            labels=tuple(tuple((l.copy_index, l.element) for l in c.letters)
+            labels=tuple(labels.intern(tuple((l.copy_index, l.element) for l in c.letters))
                          for c in tpl.corners),
             plus=tuple(i for i, e in enumerate(tpl.signs) if e == 1),
             minus=tuple(i for i, e in enumerate(tpl.signs) if e != 1),
@@ -218,8 +271,8 @@ def _template_table(templates: list[FaceTemplate], pres: RelPresentation
 
 class LeafCheck:
     """``_marked_survivor``'s tests on one multiset's complete gluings,
-    read off the template records and the corner chains with no
-    ``Diagram``.  ``passes`` is exact: it is True exactly when
+    read off the template records, the walk's counters and its ``mate``
+    list with no ``Diagram``.  ``passes`` is exact: it is True exactly when
     ``_marked_survivor`` returns a diagram, which still builds and decides
     every such gluing.  Also holds the multiset's templates and its plus
     and minus darts, numbered face by face from 0 as in ``_dart_layout``."""
@@ -242,109 +295,26 @@ class LeafCheck:
             self.ending_inv += rec.ending_inv
             offset += rec.darts
 
-    def passes(self, chains: "CornerChains", pairing: dict[int, int]) -> bool:
+    def passes(self, nontrivial: int, closed: int, mate: list[int]) -> bool:
+        """``nontrivial`` and ``closed`` count the closed vertices with a
+        nontrivial label and all closed vertices; ``mate`` is the complete
+        gluing, each dart's partner."""
         faces = len(self.digon)
-        if not self.classes_ok or chains.nontrivial != 2:
+        if not self.classes_ok or nontrivial != 2:
             return False
-        if chains.closed - len(self.plus) + faces != 2:       # V - E + F
+        if closed - len(self.plus) + faces != 2:             # V - E + F
             return False
         face_of, digon = self.face_of, self.digon
         for a in self.plus:
-            b = pairing[a]
+            b = mate[a]
             d1, d2 = (a, b) if a < b else (b, a)
             f1, f2 = face_of[d1], face_of[d2]
             if f1 == f2:
                 continue
             if (digon[f1] and digon[f2]) or self.read[d1] == self.ending_inv[d2]:
                 return False
-        links = ((face_of[a], face_of[pairing[a]]) for a in self.plus)
+        links = ((face_of[a], face_of[mate[a]]) for a in self.plus)
         return len(maps.components(faces, links)) == 1
-
-
-def _seam_product(left: Label, right: Label, mul, identity: int) -> Label:
-    """Product of two normal-form labels; only letters at the seam cancel."""
-    i, j = len(left), 0
-    while i and j < len(right) and left[i - 1][0] == right[j][0]:
-        copy = right[j][0]
-        element = mul(left[i - 1][1], right[j][1])
-        i -= 1
-        j += 1
-        if element != identity:
-            return left[:i] + ((copy, element),) + right[j:]
-    return left[:i] + right[j:]
-
-
-class CornerChains:
-    """Vertex orbits of a partial gluing, kept up to date pair by pair.
-
-    Darts are numbered face by face from 0 (as in ``_dart_layout``), so
-    corner ``c`` is the corner at the head of dart ``c``, and
-    ``prev_corner[x]`` is the corner that dart ``x`` leaves; both start as
-    the multiset's template records laid end to end.  Gluing ``a`` to
-    ``b`` adds the corner links ``prev_corner[a] -> b`` and
-    ``prev_corner[b] -> a``, the steps of the corner rotation of ``maps``.
-    Linked corners form open chains and closed cycles; each open chain
-    keeps its ends in ``first``/``last`` (valid at the opposite end only)
-    and the product of its corner labels at its first corner.  ``closed``,
-    ``open`` and ``nontrivial`` (closed cycles with a nontrivial label)
-    are the counters the prunes read; ``unglue`` undoes the last ``glue``.
-    """
-
-    def __init__(self, records: list[TemplateRecord], group):
-        self.prev_corner: list[int] = []
-        self.label: list[Label] = []
-        offset = 0
-        for rec in records:
-            self.prev_corner += [offset + p for p in rec.prev]
-            self.label += rec.labels
-            offset += rec.darts
-        self.first = list(range(offset))
-        self.last = list(range(offset))
-        self.closed = 0
-        self.open = offset
-        self.nontrivial = 0
-        self._mul = group.mul
-        self._identity = group.identity
-        self._undo: list[tuple] = []
-
-    def _link(self, u: int, v: int) -> None:
-        """Add the link from corner ``u`` (a chain's last) to ``v`` (a
-        chain's first): close one chain or join two."""
-        f = self.first[u]
-        label = self.label
-        if f == v:
-            self.closed += 1
-            self.open -= 1
-            if label[v]:
-                self.nontrivial += 1
-            self._undo.append((v,))
-            return
-        w = self.last[v]
-        self._undo.append((v, f, u, w, label[f]))
-        self.last[f] = w
-        self.first[w] = f
-        label[f] = _seam_product(label[f], label[v], self._mul, self._identity)
-        self.open -= 1
-
-    def glue(self, a: int, b: int) -> None:
-        self._link(self.prev_corner[a], b)
-        self._link(self.prev_corner[b], a)
-
-    def unglue(self) -> None:
-        for _ in range(2):
-            entry = self._undo.pop()
-            if len(entry) == 1:
-                v, = entry
-                self.closed -= 1
-                self.open += 1
-                if self.label[v]:
-                    self.nontrivial -= 1
-            else:
-                v, f, u, w, label = entry
-                self.last[f] = u
-                self.first[w] = v
-                self.label[f] = label
-                self.open += 1
 
 
 @dataclass
@@ -372,10 +342,12 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
     a search short.
     """
     result = EnumerationResult()
-    table = _template_table(face_templates(config), config.presentation)
+    pres = config.presentation
+    labels = CornerLabels(pres.group)
+    table = _template_table(face_templates(config), pres, labels)
     for combo in _balanced_combos([rec.balance for rec in table], config.max_interior_faces):
         records = [table[i] for i in combo]
-        survivors, complete = _enumerate_multiset(config, records, result)
+        survivors, complete = _enumerate_multiset(config, records, labels, result)
         for form, diagram in survivors.items():
             name = form if config.symmetry_dedup else f"{form}#{len(result.survivors)}"
             if name not in result.survivors:
@@ -386,59 +358,140 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
 
 
 def _enumerate_multiset(config: EnumerationConfig, records: list[TemplateRecord],
-                        result: EnumerationResult):
+                        labels: CornerLabels, result: EnumerationResult):
     """Survivors of one multiset by canonical form (the last gluing found
     wins) and whether the search ran to the end; leaves, checked leaves,
-    nodes and prunes are added to ``result``."""
+    nodes and prunes are added to ``result``.
+
+    The walk's state is flat lists over the multiset's darts, numbered
+    face by face from 0 (as in ``_dart_layout``): ``mate`` holds each
+    dart's partner, -1 while it is free.  Corner ``c`` is the corner at the
+    head of dart ``c`` and ``prev[x]`` the corner that dart ``x`` leaves.
+    Gluing ``a`` to ``b`` adds the corner links ``prev[a] -> b`` and
+    ``prev[b] -> a``, the steps of the corner rotation of ``maps``.  Linked
+    corners form open chains and closed cycles; each open chain keeps its
+    ends in ``first``/``last`` (valid at the opposite end only) and, in
+    ``lab``, the id of the product of its corner labels at its first
+    corner, taken from ``labels.products``.  A link either closes a chain
+    (one more closed cycle, nontrivial when its id is not 0) or joins two
+    (three list writes).  The counters the prunes read (closed cycles,
+    closed cycles plus open chains, and nontrivial closed cycles) are
+    arguments of ``backtrack``; the entries a join overwrites are kept in
+    its frame and written back, second link first, after the recursive
+    call returns.
+    """
     pres = config.presentation
-    chains = CornerChains(records, pres.group)
     check = LeafCheck(records)
     plus, minus = check.plus, check.minus
+    prev: list[int] = []
+    lab: list[int] = []
+    darts = 0
+    for rec in records:
+        prev += [darts + p for p in rec.prev]
+        lab += rec.labels
+        darts += rec.darts
+    first = list(range(darts))
+    last = list(range(darts))
+    mate = [-1] * darts
+    products, product = labels.products, labels.product
     n = len(plus)
     spheres_need = n - len(records) + 2      # vertices of a connected sphere
     bound = config.max_matchings_per_multiset
     survivors: dict[str, Diagram] = {}
-    pairing: dict[int, int] = {}
     faces = None                             # Slot lists, built at the first passing leaf
     nodes = leaves = checked = labels_cut = euler_cut = 0
 
-    def backtrack(i: int) -> bool:
-        """False once the node bound cuts the search short."""
+    def backtrack(i: int, closed: int, room: int, nontrivial: int) -> bool:
+        """Glue ``plus[i]`` onward; ``room`` is closed cycles plus open
+        chains.  False once the node bound cuts the search short."""
         nonlocal nodes, leaves, checked, labels_cut, euler_cut, faces
         if i == n:
             leaves += 1
-            if check.passes(chains, pairing):
+            if check.passes(nontrivial, closed, mate):
                 checked += 1
                 if faces is None:
                     faces = _dart_layout(check.multiset)[0]
+                pairing = {}
+                for a in plus:
+                    b = mate[a]
+                    pairing[a] = b
+                    pairing[b] = a
                 marked = _marked_survivor(pres, faces, pairing, plus)
                 if marked is not None:
                     survivors[marked.canonical_form()] = marked
             return True
         a = plus[i]
+        u = prev[a]
         for b in minus:
-            if b in pairing:
+            if mate[b] >= 0:
                 continue
             if nodes >= bound:
                 return False
             nodes += 1
-            pairing[a] = b
-            pairing[b] = a
-            chains.glue(a, b)
+            mate[a] = b
+            mate[b] = a
+            c, r, nt = closed, room, nontrivial
+            f = first[u]                     # link u -> b
+            if f == b:
+                c += 1
+                if lab[b]:
+                    nt += 1
+                w = -1
+            else:
+                w = last[b]
+                x = lab[f]
+                last[f] = w
+                first[w] = f
+                y = lab[b]
+                if y:                        # id 0 is the identity
+                    if x:
+                        p = products.get((x, y))
+                        lab[f] = product(x, y) if p is None else p
+                    else:
+                        lab[f] = y
+                r -= 1
+            v = prev[b]                      # link v -> a
+            g = first[v]
+            if g == a:
+                c += 1
+                if lab[a]:
+                    nt += 1
+                z = -1
+            else:
+                z = last[a]
+                x2 = lab[g]
+                last[g] = z
+                first[z] = g
+                y = lab[a]
+                if y:
+                    if x2:
+                        p = products.get((x2, y))
+                        lab[g] = product(x2, y) if p is None else p
+                    else:
+                        lab[g] = y
+                r -= 1
             ok = True
-            if chains.nontrivial > 2:
+            if nt > 2:
                 labels_cut += 1
-            elif chains.closed + chains.open < spheres_need:
+            elif r < spheres_need:
                 euler_cut += 1
             else:
-                ok = backtrack(i + 1)
-            chains.unglue()
-            del pairing[a], pairing[b]
+                ok = backtrack(i + 1, c, r, nt)
+            if z >= 0:
+                last[g] = v
+                first[z] = a
+                lab[g] = x2
+            if w >= 0:
+                last[f] = u
+                first[w] = b
+                lab[f] = x
+            mate[b] = -1
             if not ok:
                 return False
+        mate[a] = -1
         return True
 
-    complete = backtrack(0)
+    complete = backtrack(0, 0, darts, 0)
     # backtrack reaches itself through its closure; clearing the name breaks
     # that cycle, so the search state is freed now, not by the cyclic GC
     del backtrack

@@ -172,6 +172,15 @@ class TestConjugacy:
                         "--max-syllables", "4")
         assert code == 0 and doc["result"]["malnormal_at_bound"] is True
 
+    def test_oracle_negative_bound_is_usage(self, capsys):
+        # a negative bound checks nothing, so it certifies nothing
+        argv = ["conjugacy", "oracle", "--group", fixture("z4.json"), "--g", "x", "--k", "2"]
+        code, doc = run(capsys, *argv, "--max-syllables", "-1")
+        assert code == 2
+        assert "max_syllables" in doc["error"] and "result" not in doc
+        code, doc = run(capsys, *argv, "--max-syllables", "0")
+        assert code == 0 and doc["result"]["malnormal_at_bound"] is True
+
     def test_center(self, capsys):
         code, doc = run(capsys, "conjugacy", "center",
                         "--pres", fixture("pres_z3_k2.json"))
@@ -188,6 +197,14 @@ class TestSearch:
         assert doc["result"]["survivor_count"] == 2
         assert all(s["degenerate_digon"] and s["audit_ok"]
                    for s in doc["result"]["survivors"])
+
+    def test_negative_digon_syllables_is_usage(self, capsys):
+        argv = ["search", "enumerate", "--pres", fixture("pres_z3_k2.json"), "--max-faces", "1"]
+        code, doc = run(capsys, *argv, "--digon-syllables", "-1")
+        assert code == 2
+        assert "digon syllable" in doc["error"] and "result" not in doc
+        code, doc = run(capsys, *argv, "--digon-syllables", "0")
+        assert code == 0 and doc["result"]["complete"]
 
     @pytest.mark.parametrize("name,survivors,degenerate", [("pres_z3_k2.json", 5, 2),
                                                            ("pres_z2_k2.json", 2, 1)])

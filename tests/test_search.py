@@ -12,9 +12,10 @@ from relpres.diagram import (Diagram, DiagramError, classify_label, is_degenerat
 from relpres.freeprod import FreeProduct
 from relpres.maps import corner_cycles
 from relpres.presentation import initial_rewrite, minimize
-from relpres.search import (CornerChains, EnumerationConfig, FaceTemplate, LeafCheck,
-                            SearchBoundExceeded, TemplateRecord, _balanced_combos,
-                            _balanced_multisets, _dart_layout, _template_table,
+from relpres.search import (CornerLabels, EnumerationConfig, EnumerationResult, FaceTemplate,
+                            Label, LeafCheck, SearchBoundExceeded, TemplateRecord,
+                            _balanced_combos, _balanced_multisets, _dart_layout,
+                            _enumerate_multiset, _seam_product, _template_table,
                             brute_force_enumerate, curvature_audit, enumerate_diagrams,
                             face_templates)
 from relpres.words import parse_word
@@ -172,14 +173,15 @@ def _multisets(pres, max_faces, digon_syllables):
 
 
 def _layouts(pres, max_faces, digon_syllables):
-    """(template records, Slot lists, plus darts, minus darts) of every
-    balanced multiset, in search order."""
+    """The interned corner labels, and (template records, Slot lists, plus
+    darts, minus darts) of every balanced multiset, in search order."""
     cfg = EnumerationConfig(pres, max_interior_faces=max_faces,
                             digon_syllables=digon_syllables)
     templates = face_templates(cfg)
-    table = _template_table(templates, pres)
-    return [([table[i] for i in combo], *_dart_layout([templates[i] for i in combo]))
-            for combo in _balanced_combos([rec.balance for rec in table], max_faces)]
+    labels = CornerLabels(pres.group)
+    table = _template_table(templates, pres, labels)
+    return labels, [([table[i] for i in combo], *_dart_layout([templates[i] for i in combo]))
+                    for combo in _balanced_combos([rec.balance for rec in table], max_faces)]
 
 
 class TestTemplateTable:
@@ -190,10 +192,11 @@ class TestTemplateTable:
         # laid end to end, against the same array read off the Slot lists
         amb = pres.ambient
         words = {}                 # id -> word, shared by every multiset
-        layouts = _layouts(pres, 3, 2)
+        labels, layouts = _layouts(pres, 3, 2)
         assert layouts
+        assert labels.forms[0] == () and len(set(labels.forms)) == len(labels.forms)
         for records, faces, plus, minus in layouts:
-            chains = CornerChains(records, pres.group)
+            chains = CornerChains(records, labels.forms, pres.group)
             check = LeafCheck(records)
             darts = [slot.dart for face in faces for slot in face]
             assert darts == list(range(len(darts)))
@@ -247,14 +250,208 @@ def _recount(faces, pairing):
     return len(closed), nontrivial, chains
 
 
+class CornerChains:
+    """Reference for the flat walk's corner state: the vertex orbits of a
+    partial gluing, kept up to date pair by pair with one method call and
+    one undo tuple per link, on normal-form label tuples.
+
+    Darts are numbered face by face from 0 (as in ``_dart_layout``), so
+    corner ``c`` is the corner at the head of dart ``c``, and
+    ``prev_corner[x]`` is the corner that dart ``x`` leaves; both start as
+    the multiset's template records laid end to end, the label ids read
+    as their ``forms``.  Gluing ``a`` to ``b`` adds the corner links
+    ``prev_corner[a] -> b`` and ``prev_corner[b] -> a``.  Linked corners
+    form open chains and closed cycles; each open chain keeps its ends in
+    ``first``/``last`` (valid at the opposite end only) and the product
+    of its corner labels at its first corner.  ``closed``, ``open`` and
+    ``nontrivial`` (closed cycles with a nontrivial label) are the
+    counters the prunes read; ``unglue`` undoes the last ``glue``.
+    """
+
+    def __init__(self, records: list[TemplateRecord], forms: list[Label], group):
+        self.prev_corner: list[int] = []
+        self.label: list[Label] = []
+        offset = 0
+        for rec in records:
+            self.prev_corner += [offset + p for p in rec.prev]
+            self.label += [forms[i] for i in rec.labels]
+            offset += rec.darts
+        self.first = list(range(offset))
+        self.last = list(range(offset))
+        self.closed = 0
+        self.open = offset
+        self.nontrivial = 0
+        self._mul = group.mul
+        self._identity = group.identity
+        self._undo: list[tuple] = []
+
+    def _link(self, u: int, v: int) -> None:
+        """Add the link from corner ``u`` (a chain's last) to ``v`` (a
+        chain's first): close one chain or join two."""
+        f = self.first[u]
+        label = self.label
+        if f == v:
+            self.closed += 1
+            self.open -= 1
+            if label[v]:
+                self.nontrivial += 1
+            self._undo.append((v,))
+            return
+        w = self.last[v]
+        self._undo.append((v, f, u, w, label[f]))
+        self.last[f] = w
+        self.first[w] = f
+        label[f] = _seam_product(label[f], label[v], self._mul, self._identity)
+        self.open -= 1
+
+    def glue(self, a: int, b: int) -> None:
+        self._link(self.prev_corner[a], b)
+        self._link(self.prev_corner[b], a)
+
+    def unglue(self) -> None:
+        for _ in range(2):
+            entry = self._undo.pop()
+            if len(entry) == 1:
+                v, = entry
+                self.closed -= 1
+                self.open += 1
+                if self.label[v]:
+                    self.nontrivial -= 1
+            else:
+                v, f, u, w, label = entry
+                self.last[f] = u
+                self.first[w] = v
+                self.label[f] = label
+                self.open += 1
+
+
+def reference_walk(config, records, forms, result):
+    """The pruned walk on ``CornerChains`` and a ``pairing`` dict, node for
+    node the search of ``_enumerate_multiset``: the same survivors in the
+    same insertion order, and the same counts added to ``result``."""
+    pres = config.presentation
+    chains = CornerChains(records, forms, pres.group)
+    check = LeafCheck(records)
+    plus, minus = check.plus, check.minus
+    n = len(plus)
+    spheres_need = n - len(records) + 2
+    bound = config.max_matchings_per_multiset
+    survivors = {}
+    pairing = {}
+    faces = None
+    nodes = leaves = checked = labels_cut = euler_cut = 0
+
+    def backtrack(i):
+        nonlocal nodes, leaves, checked, labels_cut, euler_cut, faces
+        if i == n:
+            leaves += 1
+            mate = [pairing[d] for d in range(2 * n)]
+            if check.passes(chains.nontrivial, chains.closed, mate):
+                checked += 1
+                if faces is None:
+                    faces = _dart_layout(check.multiset)[0]
+                marked = search._marked_survivor(pres, faces, pairing, plus)
+                if marked is not None:
+                    survivors[marked.canonical_form()] = marked
+            return True
+        a = plus[i]
+        for b in minus:
+            if b in pairing:
+                continue
+            if nodes >= bound:
+                return False
+            nodes += 1
+            pairing[a] = b
+            pairing[b] = a
+            chains.glue(a, b)
+            ok = True
+            if chains.nontrivial > 2:
+                labels_cut += 1
+            elif chains.closed + chains.open < spheres_need:
+                euler_cut += 1
+            else:
+                ok = backtrack(i + 1)
+            chains.unglue()
+            del pairing[a], pairing[b]
+            if not ok:
+                return False
+        return True
+
+    complete = backtrack(0)
+    result.matchings_tried += leaves
+    result.checked += checked
+    result.nodes += nodes
+    result.prunes["labels"] += labels_cut
+    result.prunes["euler"] += euler_cut
+    return survivors, complete
+
+
+def _pairing(plus, mate):
+    """The pairing dict of a complete gluing, in the walk's insertion order."""
+    pairing = {}
+    for a in plus:
+        pairing[a] = mate[a]
+        pairing[mate[a]] = a
+    return pairing
+
+
+class TestFlatWalk:
+    @pytest.mark.parametrize("bound", [2_000_000, 1, 37, 500])
+    @pytest.mark.parametrize("pres,max_faces", [
+        (pres_z3(2), 4), (pres_s3(2), 4), (pres_z2(2), 4), (minimize(pres_z3(2)), 3),
+        (criterion_4_minimized_k3(), 3)], ids=["z3", "s3", "z2", "z3-min", "z3-k3-min"])
+    def test_matches_reference_walk_per_multiset(self, pres, max_faces, bound, monkeypatch):
+        cfg = EnumerationConfig(pres, max_interior_faces=max_faces, digon_syllables=2,
+                                max_matchings_per_multiset=bound)
+        real = LeafCheck.passes
+        leaves = []
+
+        def leaf(check, nontrivial, closed, mate):
+            # the counters the walk hands over, against a recount from scratch
+            faces = _dart_layout(check.multiset)[0]
+            closed_now, nontrivial_now, open_chains = _recount(faces, _pairing(check.plus, mate))
+            assert (nontrivial, closed) == (nontrivial_now, closed_now) and not open_chains
+            leaves.append(closed)
+            return real(check, nontrivial, closed, mate)
+
+        monkeypatch.setattr(search.LeafCheck, "passes", leaf)
+        labels, layouts = _layouts(pres, max_faces, 2)
+        cut = False
+        for records, _, _, _ in layouts:
+            fast, slow = EnumerationResult(), EnumerationResult()
+            fast_found, fast_complete = _enumerate_multiset(cfg, records, labels, fast)
+            slow_found, slow_complete = reference_walk(cfg, records, labels.forms, slow)
+            assert fast_complete == slow_complete
+            assert ((fast.nodes, fast.matchings_tried, fast.checked, fast.prunes)
+                    == (slow.nodes, slow.matchings_tried, slow.checked, slow.prunes))
+            assert list(fast_found) == list(slow_found)
+            assert ([d.to_dict() for d in fast_found.values()]
+                    == [d.to_dict() for d in slow_found.values()])
+            assert fast.nodes <= bound
+            cut = cut or not fast_complete
+        if bound == 1:
+            assert cut
+        elif bound == 2_000_000:
+            assert leaves and not cut
+        # every memoised product is the seam product of its forms and the
+        # letters of the FPWord product
+        forms, amb, group = labels.forms, pres.ambient, pres.group
+        assert labels.products
+        for (x, y), p in labels.products.items():
+            assert x and y
+            assert forms[p] == _seam_product(forms[x], forms[y], group.mul, group.identity)
+            word = amb.word(forms[x]) * amb.word(forms[y])
+            assert forms[p] == tuple((l.copy_index, l.element) for l in word.letters)
+
+
 class TestCornerChains:
     @pytest.mark.parametrize("pres,max_faces", [(PRES, 3), (pres_z2(2), 3),
                                                 (minimize(pres_z3(3)), 2)])
     def test_state_matches_recount_on_random_paths(self, pres, max_faces):
         rng = random.Random(max_faces * 31 + pres.k)
-        layouts = _layouts(pres, max_faces, 1)
+        labels, layouts = _layouts(pres, max_faces, 1)
         for records, faces, plus, minus in rng.sample(layouts, min(6, len(layouts))):
-            chains = CornerChains(records, pres.group)
+            chains = CornerChains(records, labels.forms, pres.group)
             pairing, glued = {}, []
             for _ in range(4 * len(plus)):
                 if len(glued) < len(plus) and (not glued or rng.random() < 0.7):
@@ -285,10 +482,11 @@ class TestPruneSoundness:
         passed = []
         real = search.LeafCheck.passes
 
-        def leaf(check, chains, pairing):
+        def leaf(check, nontrivial, closed, mate):
             faces = _dart_layout(check.multiset)[0]
+            pairing = _pairing(check.plus, mate)
             reached.add((tuple(map(tuple, faces)), tuple(sorted(pairing.items()))))
-            ok = real(check, chains, pairing)
+            ok = real(check, nontrivial, closed, mate)
             survivor = search._marked_survivor(pres, faces, pairing, check.plus)
             assert ok == (survivor is not None)
             passed.append(ok)
@@ -332,15 +530,18 @@ class TestLeafCheck:
     def test_agrees_with_marked_survivor_on_every_gluing(self, pres, digon_syllables,
                                                         max_faces):
         outcomes = []
-        for records, faces, plus, minus in _layouts(pres, max_faces, digon_syllables):
+        labels, layouts = _layouts(pres, max_faces, digon_syllables)
+        for records, faces, plus, minus in layouts:
             check = LeafCheck(records)
             for perm in itertools.permutations(minus):
-                chains = CornerChains(records, pres.group)
+                chains = CornerChains(records, labels.forms, pres.group)
                 pairing = {}
+                mate = [-1] * (2 * len(plus))
                 for a, b in zip(plus, perm):
                     chains.glue(a, b)
                     pairing[a], pairing[b] = b, a
-                ok = check.passes(chains, pairing)
+                    mate[a], mate[b] = b, a
+                ok = check.passes(chains.nontrivial, chains.closed, mate)
                 assert ok == (search._marked_survivor(pres, faces, pairing, plus) is not None)
                 outcomes.append(ok)
         assert not all(outcomes)
@@ -356,21 +557,23 @@ class TestLeafCheck:
         one = pres.ambient.one()
         torus = TemplateRecord(
             template=FaceTemplate("torus", (1, 1, -1, -1), (one,) * 4), darts=4,
-            prev=(3, 0, 1, 2), labels=((),) * 4, plus=(0, 1), minus=(2, 3), balance=0,
+            prev=(3, 0, 1, 2), labels=(0,) * 4, plus=(0, 1), minus=(2, 3), balance=0,
             key="torus", kind="large", read=(100, 101, 102, 103),
             ending_inv=(200, 201, 202, 203))
-        records = [_template_table(templates, pres)[digon], torus]
+        labels = CornerLabels(pres.group)
+        records = [_template_table(templates, pres, labels)[digon], torus]
         check = LeafCheck(records)
         faces, plus, _ = _dart_layout(check.multiset)
         assert [[slot.dart for slot in face] for face in faces] == [[0, 1], [2, 3, 4, 5]]
         assert plus == check.plus == [1, 2, 3]
         pairing = {1: 0, 0: 1, 2: 4, 4: 2, 3: 5, 5: 3}
-        chains = CornerChains(records, pres.group)
+        chains = CornerChains(records, labels.forms, pres.group)
         for a in plus:
             chains.glue(a, pairing[a])
         assert chains.nontrivial == 2
         assert chains.closed - len(plus) + len(faces) == 2
-        assert not check.passes(chains, pairing)
+        mate = [pairing[d] for d in range(6)]
+        assert not check.passes(chains.nontrivial, chains.closed, mate)
         assert search._marked_survivor(pres, faces, pairing, plus) is None
 
 
