@@ -21,9 +21,10 @@ both ``pres_*`` fixtures, each with one and with two digon syllables (two
 syllables give many small multisets); ``search enumerate`` on two
 minimized k=2 rewrites over Z/3 with deep gluing trees: DEEP_WORD at
 three faces and two digon syllables (one pair, 11,706 nodes) and WORD at
-four faces, which stops at the node bound with exit code 3; and a
-negative ``--digon-syllables`` and ``--max-syllables``, which are usage
-errors.
+four faces, which stops at the node bound with exit code 3; ``conjugacy
+center`` on ``(x t)^2`` over Z/3 (s = 0, no pairs, one letter), which is
+checked in G * Z_k; and a negative ``--digon-syllables`` and
+``--max-syllables``, which are usage errors.
 Each line is ``<sha256>  <name>``, with the exit code after a command's
 name; compare two checkouts' lines with ``diff``.
 """
@@ -67,6 +68,7 @@ COMMANDS = [
     ("conjugacy-oracle", ["conjugacy", "oracle", "--group", "fixtures/z4.json", "--g", "x",
                           "--k", "2", "--max-syllables", "6"]),
     ("conjugacy-center", ["conjugacy", "center", "--pres", PRES[0]]),
+    ("conjugacy-center-s0", ["conjugacy", "center", "--pres", "s0_pres.json"]),
     ("search-readme", ["search", "enumerate", "--pres", PRES[0], "--max-faces", "2",
                        "--digon-syllables", "1"]),
     ("oracle-z5", ["conjugacy", "oracle", "--group", "fixtures/z5.json", "--g", "x",
@@ -97,14 +99,18 @@ for _pres in PRES:
 
 
 def rewritten_presentations(work: str) -> None:
-    """Write the minimized rewrites of REWRITES that the commands read."""
+    """Write the minimized rewrites of REWRITES and the single-letter
+    presentation ``s0_pres.json`` that the commands read."""
     from relpres.freeprod import FreeProduct
-    from relpres.presentation import initial_rewrite, minimize
+    from relpres.presentation import RelPresentation, initial_rewrite, minimize
     from relpres.words import parse_word
     from fixtures import Z3
 
-    for name, word, k in REWRITES:
-        pres = minimize(initial_rewrite(Z3, parse_word(word, FreeProduct(Z3, 0)), k))
+    base = FreeProduct(Z3, 0)
+    written = [(name, minimize(initial_rewrite(Z3, parse_word(word, base), k)))
+               for name, word, k in REWRITES]
+    written.append(("s0_pres.json", RelPresentation(Z3, 0, 2, base.from_name("x"), ())))
+    for name, pres in written:
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(pres.to_dict(), fh, sort_keys=True)
 

@@ -4,7 +4,10 @@
 For each word in the frozen corpus this rewrites at k = 2 and 3, runs the
 clean-diagram enumeration at both the raw and the minimized stage, and
 tabulates the survivors.  The expected picture: one degenerate digon per
-nontrivial bottom-slice word, nothing else.
+nontrivial bottom-slice word, nothing else.  A search cut short at the
+node bound proves nothing either way, so its row is counted as incomplete
+apart from the unexpected ones.  Exit code 1 when some survivor set is
+unexpected, else 3 when some search is incomplete, else 0.
 """
 
 import argparse
@@ -26,7 +29,7 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                     "rewrite_corpus.json")
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-faces", type=int, default=2)
     ap.add_argument("--digon-syllables", type=int, default=1)
@@ -59,16 +62,20 @@ def main() -> None:
                     "checked": res.checked,
                     "nodes": res.nodes,
                     "prunes": res.prunes,
+                    "complete": res.complete,
                     "seconds": round(time.monotonic() - t0, 3),
                 })
                 print(rows[-1])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
         fh.write("\n")
-    bad = [r for r in rows if r["survivors"] != r["expected"]
-           or r["survivors"] != r["degenerate_digons"]]
-    print(f"\n{len(rows)} runs, {len(bad)} unexpected survivor sets -> {args.out}")
+    incomplete = [r for r in rows if not r["complete"]]
+    bad = [r for r in rows if r["complete"] and (r["survivors"] != r["expected"]
+                                                 or r["survivors"] != r["degenerate_digons"])]
+    print(f"\n{len(rows)} runs, {len(bad)} unexpected survivor sets, "
+          f"{len(incomplete)} incomplete -> {args.out}")
+    return 1 if bad else 3 if incomplete else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

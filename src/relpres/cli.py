@@ -254,13 +254,18 @@ def cmd_conjugacy_oracle(args) -> int:
     group = _load_group(args.group)
     g = group.index_of(args.g)
     rep = malnormality_oracle(group, g, args.k, args.max_syllables)
+
+    def model_word(letters) -> list:
+        """Copy 0 of the model is the base group G, copy 1 is <x>."""
+        return [["Gx"[copy], value] for copy, value in letters]
+
     result = {
         "malnormal_at_bound": rep.holds,
         "checked": rep.checked,
         "counterexample": None if rep.counterexample is None else {
-            "conjugator": list(rep.counterexample[0]),
+            "conjugator": model_word(rep.counterexample[0]),
             "element": group.names[rep.counterexample[1]],
-            "value": list(rep.counterexample[2]),
+            "value": model_word(rep.counterexample[2]),
         },
     }
     return _emit(args, [args.group], OK if rep.holds else VIOLATION, result)

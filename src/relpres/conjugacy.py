@@ -12,9 +12,10 @@ error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .freeprod import FPWord
-from .groups import GroupTable
+from .freeprod import FPWord, Letters, inverse, normal_form, seam_product
+from .groups import GroupTable, cyclic_group
 from .presentation import RelPresentation
 from .words import TWord, h_word
 
@@ -153,8 +154,11 @@ def reduce_conjugator(u: TWord, h: FPWord) -> ReductionOutcome:
 
 @dataclass(frozen=True)
 class FreeProductModel:
-    """Normal forms in G * <x | x^k> for relators built from one group
-    letter and one stable letter: t maps to g^-1 x."""
+    """G * <x | x^k> for relators built from one group letter and one
+    stable letter: t maps to g^-1 x.  It is the free product of two
+    factor tables, ``factors = (group, cyclic_group(k))``, so its words
+    are ``freeprod`` letter tuples with G-letters in copy 0 and ``x^j``
+    written ``(1, j)``, multiplied by ``seam_product``."""
     group: GroupTable
     g: int
     k: int
@@ -163,70 +167,28 @@ class FreeProductModel:
         if self.k < 2:
             raise ValueError("k must be >= 2")
 
-    def _merge(self, kind: str, v1: int, v2: int) -> int | None:
-        """Product of two letters of one factor; None when it is trivial."""
-        if kind == "G":
-            merged = self.group.mul(v1, v2)
-            return None if merged == self.group.identity else merged
-        return (v1 + v2) % self.k or None
+    @cached_property
+    def factors(self) -> tuple[GroupTable, GroupTable]:
+        return self.group, cyclic_group(self.k)
 
-    def normalize(self, letters) -> tuple:
-        out: list[tuple[str, int]] = []
-        for kind, val in letters:
-            if kind == "G":
-                if val == self.group.identity:
-                    continue
-            else:
-                val %= self.k
-                if val == 0:
-                    continue
-            out.append((kind, val))
-            while len(out) >= 2 and out[-1][0] == out[-2][0]:
-                kind, v2 = out.pop()
-                merged = self._merge(kind, out.pop()[1], v2)
-                if merged is not None:
-                    out.append((kind, merged))
-        return tuple(out)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """Product of two normal forms: letters are merged or cancelled
-        where they join, and the untouched parts of both are kept."""
-        if not a or not b or a[-1][0] != b[0][0]:   # different factors meet
-            return a + b
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            kind = b[j][0]
-            merged = self._merge(kind, a[i - 1][1], b[j][1])
-            if merged is not None:
-                return a[:i - 1] + ((kind, merged),) + b[j + 1:]
-            i, j = i - 1, j + 1
-        return a[:i] + b[j:]
-
-    def inv(self, a: tuple) -> tuple:
-        out = []
-        for kind, val in reversed(a):
-            out.append((kind, self.group.inv(val) if kind == "G" else (-val) % self.k))
-        return tuple(out)
-
-    def map_word(self, w: TWord) -> tuple:
+    def map_word(self, w: TWord) -> Letters:
         """Image of a word over G * <t>: group letters go to themselves,
         t to g^-1 x, t^-1 to x^-1 g."""
         if w.ambient.s != 0:
             raise ValueError("model words live over the base group")
-        letters: list[tuple[str, int]] = []
+        letters: list[tuple[int, int]] = []
         g_inv = self.group.inv(self.g)
         for i, seg in enumerate(w.segments):
-            for l in seg.letters:
-                letters.append(("G", l.element))
+            letters.extend(seg.letters)
             if i < len(w.signs):
                 if w.signs[i] == 1:
-                    letters.extend([("G", g_inv), ("x", 1)])
+                    letters.extend([(0, g_inv), (1, 1)])
                 else:
-                    letters.extend([("x", self.k - 1), ("G", self.g)])
-        return self.normalize(letters)
+                    letters.extend([(1, self.k - 1), (0, self.g)])
+        return normal_form(self.factors, letters)
 
-    def in_base_group(self, a: tuple) -> bool:
-        return len(a) == 0 or (len(a) == 1 and a[0][0] == "G")
+    def in_base_group(self, a: Letters) -> bool:
+        return len(a) == 0 or (len(a) == 1 and a[0][0] == 0)
 
 
 def single_letter_model(group: GroupTable, g: int, k: int) -> FreeProductModel:
@@ -251,16 +213,18 @@ def malnormality_oracle(group: GroupTable, g: int, k: int,
     Each length is walked depth first, with each prefix's conjugates kept
     on the stack and the next ones got from
     (p x)^-1 h (p x) = x^-1 (p^-1 h p) x; memory is O(L |G|).
-    Raises ``ValueError`` for a negative ``max_syllables``.
+    Words are ``freeprod`` letter tuples over ``model.factors``: G-letters
+    in copy 0, x-letters in copy 1.  Raises ``ValueError`` for a negative
+    ``max_syllables``.
     """
     if max_syllables < 0:
         raise ValueError("max_syllables must be at least 0")
     model = single_letter_model(group, g, k)
-    mul, in_base = model.mul, model.in_base_group
+    factors, in_base = model.factors, model.in_base_group
     hs = group.nontrivial()
-    # (kind, x, x^-1) per one-letter word x, G-letters first
-    steps = [(kind, ((kind, v),), model.inv(((kind, v),)))
-             for kind, vals in (("G", hs), ("x", range(1, k))) for v in vals]
+    # (copy, x, x^-1) per one-letter word x, G-letters first
+    steps = [(copy, ((copy, v),), inverse(factors, ((copy, v),)))
+             for copy, vals in ((0, hs), (1, range(1, k))) for v in vals]
     checked = 0
 
     def walk(u: tuple, conjugates: list, depth: int):
@@ -274,15 +238,16 @@ def malnormality_oracle(group: GroupTable, g: int, k: int,
                     return u, h, value
             return None
         last = u[-1][0] if u else None
-        for kind, x, x_inv in steps:
-            if kind != last:
-                found = walk(u + x, [mul(mul(x_inv, c), x) for c in conjugates], depth - 1)
+        for copy, x, x_inv in steps:
+            if copy != last:
+                found = walk(u + x, [seam_product(factors, seam_product(factors, x_inv, c), x)
+                                     for c in conjugates], depth - 1)
                 if found:
                     return found
         return None
 
     for depth in range(max_syllables + 1):
-        found = walk((), [(("G", h),) for h in hs], depth)
+        found = walk((), [((0, h),) for h in hs], depth)
         if found:
             return MalnormalityReport(False, found, checked)
     return MalnormalityReport(True, None, checked)
@@ -322,23 +287,23 @@ def center_certificate(pres: RelPresentation) -> CenterReport:
             outcome = reduce_conjugator(t, h)
             conj = outcome.final_conjugate
             distinct = conj is not None and conj != h
-            copy_index = conj.letters[0].copy_index if conj and conj.letters else -1
+            copy_index = conj.letters[0][0] if conj and conj.letters else -1
             checks.append((str(h), str(conj), copy_index))
             ok = ok and distinct and copy_index == 1
     else:
         # single-letter relators: check in the free-product model
         model = None
         if pres.m == -1 and len(pres.c.letters) == 1:
-            model = single_letter_model(group, pres.c.letters[0].element, pres.k)
+            model = single_letter_model(group, pres.c.letters[0][1], pres.k)
         if model is None:
             return CenterReport(False, True, t_cert, (),
                                 notes="no copy spread and no single-letter form; "
                                       "use the free-product oracle directly")
         for g in group.nontrivial():
             img = model.map_word(h_word(pres.ambient.letter(0, g)))
-            x = (("x", 1),)
-            left = model.mul(img, x)
-            right = model.mul(x, img)
+            x = ((1, 1),)
+            left = seam_product(model.factors, img, x)
+            right = seam_product(model.factors, x, img)
             checks.append((group.names[g], "commutes" if left == right else "moved", -1))
             ok = ok and left != right
     return CenterReport(ok and t_cert is not None, True, t_cert, tuple(checks))

@@ -73,8 +73,7 @@ def label_ending(ambient: FreeProduct, corners: Sequence[FPWord],
 
 def _word_key(w: TWord) -> tuple:
     """Ints that are equal exactly when the words (of one ambient) are."""
-    return w.signs, tuple(tuple((l.copy_index, l.element) for l in seg.letters)
-                          for seg in w.segments)
+    return w.signs, tuple([seg.letters for seg in w.segments])
 
 
 class FaceRecord:

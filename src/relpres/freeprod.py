@@ -1,17 +1,29 @@
-"""Free products of indexed copies of a finite group.
+"""Free products of finite groups and their normal forms.
 
 The ambient structure is H = G(0) * G(1) * ... * G(s).  Words are kept in
 normal form: no identity letters, adjacent letters in distinct copies.
 The bottom slice P (copies 0..s-1) and top slice (copies 1..s) are related
 by the shift isomorphism, which raises every copy index by one.
+
+A letter is a plain ``(copy, element)`` pair of ints and a word a tuple
+of letters.  Three functions over such tuples are the whole kernel of
+normal forms, whatever the factors are; each takes the factor tables
+indexed by copy, ``FreeProduct.factors`` = ``(group,) * (s + 1)`` here:
+``normal_form`` reduces a raw letter sequence, ``seam_product``
+multiplies two normal forms, which can cancel only where they join, and
+``inverse`` inverts one.  The G * Z_k model of ``conjugacy`` runs on the
+same three functions with the tables ``(group, cyclic_group(k))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .groups import GroupTable
+
+Letters = tuple[tuple[int, int], ...]     # a word's (copy, element) pairs
 
 
 class AmbientMismatch(ValueError):
@@ -22,11 +34,38 @@ class ShiftDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FactorLetter:
-    """One syllable: a non-identity element of the copy_index-th copy of G."""
-    copy_index: int
-    element: int
+def normal_form(factors: Sequence[GroupTable], raw: Iterable[tuple[int, int]]) -> Letters:
+    """Normal form of a raw letter sequence: adjacent same-copy letters are
+    merged and identity letters deleted, cascading until stable."""
+    out: list[tuple[int, int]] = []
+    for copy, element in raw:
+        group = factors[copy]
+        if out and out[-1][0] == copy:
+            element = group.table[out.pop()[1]][element]
+        if element != group.identity:
+            out.append((copy, element))
+    return tuple(out)
+
+
+def seam_product(factors: Sequence[GroupTable], a: Letters, b: Letters) -> Letters:
+    """Product of two normal forms: letters are merged or cancelled where
+    they join, and the untouched parts of both operands are kept."""
+    if not a or not b or a[-1][0] != b[0][0]:        # distinct factors meet
+        return a + b
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        copy = b[j][0]
+        group = factors[copy]
+        element = group.table[a[i - 1][1]][b[j][1]]
+        i -= 1
+        j += 1
+        if element != group.identity:
+            return a[:i] + ((copy, element),) + b[j:]
+    return a[:i] + b[j:]
+
+
+def inverse(factors: Sequence[GroupTable], a: Letters) -> Letters:
+    return tuple([(copy, factors[copy].inverse[element]) for copy, element in reversed(a)])
 
 
 @dataclass(frozen=True)
@@ -43,6 +82,13 @@ class FreeProduct:
     def copies(self) -> range:
         return range(self.s + 1)
 
+    # Built once per instance: cached_property writes to the instance
+    # __dict__, which the frozen dataclass's ==, hash and repr ignore.
+    @cached_property
+    def factors(self) -> tuple[GroupTable, ...]:
+        """The factor tables indexed by copy."""
+        return (self.group,) * (self.s + 1)
+
     def bottom_indices(self) -> frozenset[int]:
         """Copy indices of the shift's domain (the subgroup P)."""
         return frozenset(range(self.s))
@@ -54,28 +100,16 @@ class FreeProduct:
     # -- construction -------------------------------------------------
 
     def word(self, raw: Iterable[tuple[int, int]]) -> "FPWord":
-        """Normal form of a raw (copy_index, element) sequence.
-
-        Adjacent same-copy letters are merged with the group table and
-        identity letters deleted, cascading until stable.
-        """
-        out: list[FactorLetter] = []
-        g = self.group
+        """Normal form of a raw (copy_index, element) sequence, every
+        letter checked against the ambient's ranges."""
+        raw = tuple(raw)
+        copies, order = self.copies, self.group.order
         for copy_index, element in raw:
-            if copy_index not in self.copies:
+            if copy_index not in copies:
                 raise IndexError(f"copy index {copy_index} outside [0, {self.s}]")
-            if not (0 <= element < g.order):
+            if not (0 <= element < order):
                 raise IndexError(f"element index {element} out of range")
-            if element == g.identity:
-                continue
-            out.append(FactorLetter(copy_index, element))
-            while len(out) >= 2 and out[-1].copy_index == out[-2].copy_index:
-                merged = g.mul(out[-2].element, out[-1].element)
-                out.pop()
-                out.pop()
-                if merged != g.identity:
-                    out.append(FactorLetter(copy_index, merged))
-        return FPWord(self, tuple(out))
+        return FPWord(self, normal_form(self.factors, raw))
 
     def one(self) -> "FPWord":
         return FPWord(self, ())
@@ -91,15 +125,15 @@ class FreeProduct:
         if indices is None:
             indices = list(self.copies)
         out = [self.one()]
-        layer: list[tuple[FactorLetter, ...]] = [()]
+        layer: list[Letters] = [()]
         for _ in range(syllables):
             nxt = []
             for w in layer:
                 for i in indices:
-                    if w and w[-1].copy_index == i:
+                    if w and w[-1][0] == i:
                         continue
                     for x in self.group.nontrivial():
-                        nxt.append(w + (FactorLetter(i, x),))
+                        nxt.append(w + ((i, x),))
             out.extend(FPWord(self, w) for w in nxt)
             layer = nxt
         return out
@@ -109,7 +143,7 @@ class FreeProduct:
 class FPWord:
     """Normal-form word in the ambient free product."""
     ambient: FreeProduct
-    letters: tuple[FactorLetter, ...]
+    letters: Letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -125,25 +159,12 @@ class FPWord:
             raise AmbientMismatch("operands live in different free products")
 
     def __mul__(self, other: "FPWord") -> "FPWord":
-        """Product of two normal forms.  They can cancel only where they
-        join, so letters are merged or cancelled at that seam and the
-        untouched parts of both operands are kept as they are."""
         self._require_same(other)
-        a, b = self.letters, other.letters
-        g = self.ambient.group
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1].copy_index == b[j].copy_index:
-            merged = g.mul(a[i - 1].element, b[j].element)
-            if merged != g.identity:
-                return FPWord(self.ambient, a[:i - 1] + (FactorLetter(b[j].copy_index, merged),)
-                              + b[j + 1:])
-            i, j = i - 1, j + 1
-        return FPWord(self.ambient, a[:i] + b[j:])
+        return FPWord(self.ambient, seam_product(self.ambient.factors, self.letters,
+                                                 other.letters))
 
     def inv(self) -> "FPWord":
-        g = self.ambient.group
-        return FPWord(self.ambient, tuple(
-            FactorLetter(l.copy_index, g.inv(l.element)) for l in reversed(self.letters)))
+        return FPWord(self.ambient, inverse(self.ambient.factors, self.letters))
 
     def conj(self, by: "FPWord") -> "FPWord":
         """by^-1 * self * by."""
@@ -165,7 +186,7 @@ class FPWord:
         """
         core = self
         conjugator = self.ambient.one()
-        while len(core) >= 2 and core.letters[0].copy_index == core.letters[-1].copy_index:
+        while len(core) >= 2 and core.letters[0][0] == core.letters[-1][0]:
             head = FPWord(self.ambient, core.letters[:1])
             mid = FPWord(self.ambient, core.letters[1:])
             core = mid * head
@@ -179,7 +200,7 @@ class FPWord:
         letterwise on normal forms.
         """
         idx = set(indices)
-        return all(l.copy_index in idx for l in self.letters)
+        return all(copy in idx for copy, _ in self.letters)
 
     def in_bottom(self) -> bool:
         return self.in_subproduct(self.ambient.bottom_indices())
@@ -189,19 +210,18 @@ class FPWord:
 
     def shift(self, delta: int) -> "FPWord":
         """Shift every copy index by delta (the isomorphism between slices)."""
-        for l in self.letters:
-            j = l.copy_index + delta
-            if j not in self.ambient.copies:
+        for copy, _ in self.letters:
+            if copy + delta not in self.ambient.copies:
                 side = "bottom slice" if delta > 0 else "top slice"
                 raise ShiftDomainError(
-                    f"letter in copy {l.copy_index} leaves [0, {self.ambient.s}] "
+                    f"letter in copy {copy} leaves [0, {self.ambient.s}] "
                     f"under shift {delta:+d} (word not in the {side})")
-        return FPWord(self.ambient, tuple(
-            FactorLetter(l.copy_index + delta, l.element) for l in self.letters))
+        return FPWord(self.ambient, tuple([(copy + delta, element)
+                                           for copy, element in self.letters]))
 
     def max_copy_index(self) -> int:
         """Largest copy index present; -1 for the identity."""
-        return max((l.copy_index for l in self.letters), default=-1)
+        return max((copy for copy, _ in self.letters), default=-1)
 
     def order(self) -> int | float:
         """Order of the element in the free product.
@@ -213,16 +233,16 @@ class FPWord:
         if len(core) == 0:
             return 1
         if len(core) == 1:
-            return self.ambient.group.element_order(core.letters[0].element)
+            return self.ambient.group.element_order(core.letters[0][1])
         return float("inf")
 
     def tokens(self) -> list[str]:
         names = self.ambient.group.names
         out = []
-        for l in self.letters:
-            tok = names[l.element]
-            if l.copy_index:
-                tok += f"@{l.copy_index}"
+        for copy, element in self.letters:
+            tok = names[element]
+            if copy:
+                tok += f"@{copy}"
             out.append(tok)
         return out
 
@@ -248,11 +268,11 @@ def conjugate_in_free_product(a: FPWord, b: FPWord) -> bool:
     if len(ca) == 0:
         return True
     if len(ca) == 1:
-        la, lb = ca.letters[0], cb.letters[0]
-        if la.copy_index != lb.copy_index:
+        (copy_a, ea), (copy_b, eb) = ca.letters[0], cb.letters[0]
+        if copy_a != copy_b:
             return False
         g = a.ambient.group
-        return any(g.conj(la.element, by) == lb.element for by in range(g.order))
+        return any(g.conj(ea, by) == eb for by in range(g.order))
     n = len(ca)
     for r in range(n):
         if ca.letters[r:] + ca.letters[:r] == cb.letters:

@@ -176,8 +176,7 @@ def initial_rewrite(group: GroupTable, w: TWord, k: int) -> RelPresentation:
     ambient = FreeProduct(group, s)
     letters = []
     for j, seg in zip(exponents, w.segments[:-1]):
-        for l in seg.letters:
-            letters.append((j, l.element))
+        letters.extend((j, element) for _, element in seg.letters)
     c = ambient.word(letters)
     return RelPresentation(group=group, s=s, k=k, c=c, pairs=())
 
@@ -189,11 +188,11 @@ def _substitute_top_copy(pres: RelPresentation) -> TWord:
 
     def expand(word: FPWord) -> list:
         items: list = []
-        for l in word.letters:
-            if l.copy_index == s:
-                items.extend([-1, amb.letter(s - 1, l.element), 1])
+        for letter in word.letters:
+            if letter[0] == s:
+                items.extend([-1, FPWord(amb, ((s - 1, letter[1]),)), 1])
             else:
-                items.append(amb.letter(l.copy_index, l.element))
+                items.append(FPWord(amb, (letter,)))
         return items
 
     items: list = expand(pres.c) + [1]
@@ -241,10 +240,6 @@ def extract_pattern(w: TWord) -> tuple[FPWord, tuple[tuple[FPWord, FPWord], ...]
     return c, tuple(pairs)
 
 
-def _rebuild_in(ambient: FreeProduct, word: FPWord) -> FPWord:
-    return ambient.word([(l.copy_index, l.element) for l in word.letters])
-
-
 def eliminate_top_copy(pres: RelPresentation) -> RelPresentation | None:
     """Try the move that trades the top copy for extra pairs.
 
@@ -264,10 +259,11 @@ def eliminate_top_copy(pres: RelPresentation) -> RelPresentation | None:
     if c.max_copy_index() >= pres.s or any(
             max(b.max_copy_index(), a.max_copy_index()) >= pres.s for b, a in pairs):
         return None
+    # normal forms in copies below s are normal forms over one copy fewer
     return RelPresentation(
         group=pres.group, s=pres.s - 1, k=pres.k,
-        c=_rebuild_in(new_ambient, c),
-        pairs=tuple((_rebuild_in(new_ambient, b), _rebuild_in(new_ambient, a))
+        c=FPWord(new_ambient, c.letters),
+        pairs=tuple((FPWord(new_ambient, b.letters), FPWord(new_ambient, a.letters))
                     for b, a in pairs))
 
 
@@ -329,7 +325,7 @@ def _block_certificate(word: FPWord, block_indices: frozenset[int],
     """Split a normal form as prefix * block * suffix with the block
     starting and ending in the given copy set and prefix/suffix outside."""
     amb = word.ambient
-    positions = [i for i, l in enumerate(word.letters) if l.copy_index in block_indices]
+    positions = [i for i, (copy, _) in enumerate(word.letters) if copy in block_indices]
     if not positions:
         return None
     first, last = positions[0], positions[-1]
@@ -385,7 +381,7 @@ def verify_conditions(pres: RelPresentation) -> ConditionsReport:
     # the slice structure (free products of copies, shift isomorphism) is
     # carried by construction; verify index ranges as a sanity check
     words = [pres.c] + [w for pair in pres.pairs for w in pair]
-    in_range = all(0 <= l.copy_index <= pres.s for w in words for l in w.letters)
+    in_range = all(0 <= copy <= pres.s for w in words for copy, _ in w.letters)
     cond4 = ConditionCheck(in_range, "" if in_range else "copy index out of range")
 
     return ConditionsReport(cond1, cond2, cond3, cond4)
@@ -422,10 +418,10 @@ def back_substitute(pres: RelPresentation) -> TWord:
     relator = pres.relator()
     items: list = []
     for idx, seg in enumerate(relator.segments):
-        for l in seg.letters:
-            items.extend([-1] * l.copy_index)
-            items.append(base.letter(0, l.element))
-            items.extend([1] * l.copy_index)
+        for copy, element in seg.letters:
+            items.extend([-1] * copy)
+            items.append(FPWord(base, ((0, element),)))
+            items.extend([1] * copy)
         if idx < len(relator.signs):
             items.append(relator.signs[idx])
     return from_items(base, items).free_reduce()

@@ -29,10 +29,12 @@ class and ids of the labels ``reducible_pairs`` compares).  A multiset's
 arrays are its records laid end to end, each shifted by the darts
 before it; ``_balanced_combos`` sums the balances.
 
-Corner labels are interned once per call in a ``CornerLabels`` table
-(id 0 is the identity), and the label of a chain is an id.  The product
-of two ids is memoised in that table's dict, keyed by the id pair, and
-``_seam_product`` computes only the misses.  The walk
+Corner labels are interned once per call in a ``CornerLabels`` table:
+each label is the ``letters`` tuple of its ``FPWord``, taken as it is,
+and id 0 is the identity; the label of a chain is an id.  The product of
+two ids is memoised in that table's dict, keyed by the id pair, and
+``freeprod.seam_product`` over the ambient's factor tables computes only
+the misses.  The walk
 (``_enumerate_multiset``) keeps its state in flat integer lists, a
 ``mate`` list with -1 for a free dart among them, and runs both links of
 a glue inline.  What a glue overwrites is kept in the recursive call's
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 from . import maps
 from .diagram import (Diagram, DiagramError, FaceRecord, Slot, curvature_weights,
                       is_phi_reduced, validate_howie)
-from .freeprod import FPWord
+from .freeprod import FPWord, Letters, seam_product
 from .presentation import RelPresentation, RewriteError
 
 
@@ -178,36 +180,20 @@ def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
     return marked if ok else None
 
 
-Label = tuple[tuple[int, int], ...]   # normal-form letters (copy, element)
-
-
-def _seam_product(left: Label, right: Label, mul, identity: int) -> Label:
-    """Product of two normal-form labels; only letters at the seam cancel."""
-    i, j = len(left), 0
-    while i and j < len(right) and left[i - 1][0] == right[j][0]:
-        copy = right[j][0]
-        element = mul(left[i - 1][1], right[j][1])
-        i -= 1
-        j += 1
-        if element != identity:
-            return left[:i] + ((copy, element),) + right[j:]
-    return left[:i] + right[j:]
-
-
 class CornerLabels:
     """The corner labels of one ``enumerate_diagrams`` call, interned:
     label id ``i`` stands for the normal form ``forms[i]``, and id 0 is
     the identity.  ``products`` memoises the product of two ids, keyed by
-    the id pair; ``product`` computes a miss with ``_seam_product``."""
+    the id pair; ``product`` computes a miss with ``seam_product`` over
+    the factor tables ``factors``."""
 
-    def __init__(self, group):
-        self.forms: list[Label] = [()]
-        self.ids: dict[Label, int] = {(): 0}
+    def __init__(self, factors):
+        self.forms: list[Letters] = [()]
+        self.ids: dict[Letters, int] = {(): 0}
         self.products: dict[tuple[int, int], int] = {}
-        self._mul = group.mul
-        self._identity = group.identity
+        self._factors = factors
 
-    def intern(self, form: Label) -> int:
+    def intern(self, form: Letters) -> int:
         i = self.ids.get(form)
         if i is None:
             i = self.ids[form] = len(self.forms)
@@ -216,7 +202,7 @@ class CornerLabels:
 
     def product(self, x: int, y: int) -> int:
         forms = self.forms
-        p = self.intern(_seam_product(forms[x], forms[y], self._mul, self._identity))
+        p = self.intern(seam_product(self._factors, forms[x], forms[y]))
         self.products[x, y] = p
         return p
 
@@ -261,8 +247,7 @@ def _template_table(templates: list[FaceTemplate], pres: RelPresentation,
         read, ending_inv = word_ids(face.read()), word_ids(face.ending_inv())
         table.append(TemplateRecord(
             template=tpl, darts=n, prev=tuple((i - 1) % n for i in range(n)),
-            labels=tuple(labels.intern(tuple((l.copy_index, l.element) for l in c.letters))
-                         for c in tpl.corners),
+            labels=tuple(labels.intern(c.letters) for c in tpl.corners),
             plus=tuple(i for i, e in enumerate(tpl.signs) if e == 1),
             minus=tuple(i for i, e in enumerate(tpl.signs) if e != 1),
             balance=sum(tpl.signs), key=tpl.key, kind=kind, read=read, ending_inv=ending_inv))
@@ -343,7 +328,7 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
     """
     result = EnumerationResult()
     pres = config.presentation
-    labels = CornerLabels(pres.group)
+    labels = CornerLabels(pres.ambient.factors)
     table = _template_table(face_templates(config), pres, labels)
     for combo in _balanced_combos([rec.balance for rec in table], config.max_interior_faces):
         records = [table[i] for i in combo]

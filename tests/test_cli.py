@@ -181,6 +181,22 @@ class TestConjugacy:
         code, doc = run(capsys, *argv, "--max-syllables", "0")
         assert code == 0 and doc["result"]["malnormal_at_bound"] is True
 
+    def test_oracle_violation_document(self, capsys, monkeypatch):
+        # flag every five-syllable value: the first one the oracle meets is
+        # u^-1 h u for u = x g (x, then the base element 1), and the document
+        # names each letter's factor, "G" or "x"
+        from relpres.conjugacy import FreeProductModel
+        honest = FreeProductModel.in_base_group
+        monkeypatch.setattr(FreeProductModel, "in_base_group",
+                            lambda self, a: len(a) == 5 or honest(self, a))
+        code, doc = run(capsys, "conjugacy", "oracle", "--group", fixture("z4.json"),
+                        "--g", "x", "--k", "3", "--max-syllables", "3")
+        assert code == 1
+        assert doc["result"] == {
+            "malnormal_at_bound": False, "checked": 25,
+            "counterexample": {"conjugator": [["x", 1], ["G", 1]], "element": "x",
+                               "value": [["G", 3], ["x", 2], ["G", 1], ["x", 1], ["G", 1]]}}
+
     def test_center(self, capsys):
         code, doc = run(capsys, "conjugacy", "center",
                         "--pres", fixture("pres_z3_k2.json"))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from relpres.conjugacy import (FreeProductModel, MalnormalityReport, StuckSignal,
                                center_certificate, digon_step, malnormality_oracle,
                                prefix_trace, reduce_conjugator, single_letter_model)
-from relpres.freeprod import FreeProduct
+from relpres.freeprod import FreeProduct, inverse, normal_form, seam_product
 from relpres.presentation import initial_rewrite, minimize
 from relpres.words import TWord, from_items, parse_word, t_letter
 
@@ -132,7 +132,7 @@ class TestReduceConjugator:
         assert out.residual_t_power == 1
         assert out.status == "reduced-to-H"
         assert out.final_conjugate == X0.shift(1)
-        assert out.final_conjugate.letters[0].copy_index == 1
+        assert out.final_conjugate.letters[0][0] == 1
 
     def test_stuck_outcome(self):
         out = reduce_conjugator(t_letter(AMB, 1), X0.shift(1))
@@ -201,7 +201,7 @@ class TestFreeProductModel:
     def test_t_image(self):
         m = single_letter_model(Z2, 1, 2)
         w = parse_word("t", FreeProduct(Z2, 0))
-        assert m.map_word(w) == (("G", 1), ("x", 1))
+        assert m.map_word(w) == ((0, 1), (1, 1))
 
     def test_relator_word_dies(self):
         m = single_letter_model(Z2, 1, 2)
@@ -218,7 +218,7 @@ class TestFreeProductModel:
                                     for _ in range(rng.randint(0, 5))), base)
             b = parse_word(" ".join(rng.choice(tokens)
                                     for _ in range(rng.randint(0, 5))), base)
-            assert m.map_word(a * b) == m.mul(m.map_word(a), m.map_word(b))
+            assert m.map_word(a * b) == seam_product(m.factors, m.map_word(a), m.map_word(b))
 
     def test_distinct_normal_forms_stay_distinct(self):
         m = single_letter_model(Z4, 1, 2)
@@ -230,22 +230,27 @@ class TestFreeProductModel:
 
 def model_words_up_to(model, syllables):
     """Every normal form of at most the given syllable count, breadth
-    first: by length, then G-letters before x-letters after each prefix.
-    This is the conjugator order the oracle keeps."""
+    first: by length, then G-letters (copy 0) before x-letters (copy 1)
+    after each prefix.  This is the conjugator order the oracle keeps."""
     out = [()]
     layer = [()]
-    g_letters = [("G", v) for v in model.group.nontrivial()]
-    x_letters = [("x", j) for j in range(1, model.k)]
+    g_letters = [(0, v) for v in model.group.nontrivial()]
+    x_letters = [(1, j) for j in range(1, model.k)]
     for _ in range(syllables):
         nxt = []
         for w in layer:
             last = w[-1][0] if w else None
-            for letter in (g_letters if last != "G" else []) + \
-                          (x_letters if last != "x" else []):
+            for letter in (g_letters if last != 0 else []) + \
+                          (x_letters if last != 1 else []):
                 nxt.append(w + (letter,))
         out.extend(nxt)
         layer = nxt
     return out
+
+
+def conjugate(model, u, h):
+    """u^-1 h u in the model, normalized from its full letter sequence."""
+    return normal_form(model.factors, inverse(model.factors, u) + ((0, h),) + u)
 
 
 def reference_oracle(group, g, k, max_syllables):
@@ -257,7 +262,7 @@ def reference_oracle(group, g, k, max_syllables):
         if model.in_base_group(u):
             continue
         for h in group.nontrivial():
-            value = model.normalize(model.inv(u) + (("G", h),) + u)
+            value = conjugate(model, u, h)
             checked += 1
             if model.in_base_group(value):
                 return MalnormalityReport(False, (u, h, value), checked)
@@ -271,8 +276,8 @@ class TestMalnormalityOracle:
 
     def test_conjugate_stays_outside(self):
         m = single_letter_model(Z2, 1, 2)
-        u = (("x", 1),)
-        value = m.mul(m.mul(m.inv(u), (("G", 1),)), u)
+        u = ((1, 1),)
+        value = seam_product(m.factors, seam_product(m.factors, inverse(m.factors, u), ((0, 1),)), u)
         assert not m.in_base_group(value) and len(value) == 3
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -284,7 +289,7 @@ class TestMalnormalityOracle:
         m = single_letter_model(Z2, 1, 2)
         words = model_words_up_to(m, 2)
         outside = [u for u in words if not m.in_base_group(u)]
-        assert (("G", 1),) not in outside and () not in outside
+        assert ((0, 1),) not in outside and () not in outside
 
     # (group, g, k, max syllables): the README command, the check script's
     # z5 command and the benchmark's oracle settings
@@ -309,7 +314,7 @@ class TestMalnormalityOracle:
     def test_same_first_hit_when_a_value_is_flagged(self, monkeypatch, pick):
         # every (u, h, value) the reference visits, in its order
         model = single_letter_model(Z3, 1, 3)
-        visits = [(u, h, model.normalize(model.inv(u) + (("G", h),) + u))
+        visits = [(u, h, conjugate(model, u, h))
                   for u in model_words_up_to(model, 5) if not model.in_base_group(u)
                   for h in Z3.nontrivial()]
         target = visits[int(pick * (len(visits) - 1)) if isinstance(pick, float) else pick][2]
@@ -328,14 +333,14 @@ class TestModelProduct:
                              ids=["Z3-k2", "Z4-k3", "S3-k2", "S3-k3"])
     @given(data=st.data())
     def test_matches_normalize(self, group, k, data):
-        model = single_letter_model(group, 1, k)
-        raw = st.lists(st.one_of(st.tuples(st.just("G"), st.integers(0, group.order - 1)),
-                                 st.tuples(st.just("x"), st.integers(0, k - 1))),
+        factors = single_letter_model(group, 1, k).factors
+        raw = st.lists(st.one_of(st.tuples(st.just(0), st.integers(0, group.order - 1)),
+                                 st.tuples(st.just(1), st.integers(0, k - 1))),
                        max_size=10)
-        a, b, c = (model.normalize(data.draw(raw)) for _ in range(3))
-        assert model.mul(a, b) == model.normalize(a + b)
-        b = model.normalize(model.inv(a) + c)   # cancels a from the seam outward
-        assert model.mul(a, b) == model.normalize(a + b) == c
+        a, b, c = (normal_form(factors, data.draw(raw)) for _ in range(3))
+        assert seam_product(factors, a, b) == normal_form(factors, a + b)
+        b = normal_form(factors, inverse(factors, a) + c)   # cancels a from the seam outward
+        assert seam_product(factors, a, b) == normal_form(factors, a + b) == c
 
 
 class TestCenterCertificate:
@@ -346,6 +351,17 @@ class TestCenterCertificate:
         assert len(rep.element_checks) == 2
         for _h, conj, copy_index in rep.element_checks:
             assert copy_index == 1
+
+    @pytest.mark.parametrize("group,name", [(Z3, "x"), (S3, "a")], ids=["Z3", "S3"])
+    def test_single_letter_relator(self, group, name):
+        # s = 0, m = -1 and one letter c: (c t)^k is checked in G * Z_k,
+        # where no nontrivial base element commutes with x
+        from relpres.presentation import RelPresentation
+        pres = RelPresentation(group, 0, 2, FreeProduct(group, 0).from_name(name), ())
+        rep = center_certificate(pres)
+        assert rep.trivial_center_certified and rep.t_outside_base == (1, 2)
+        assert rep.element_checks == tuple((group.names[g], "moved", -1)
+                                           for g in group.nontrivial())
 
     def test_trivial_group_hypothesis(self):
         from relpres.groups import GroupTable

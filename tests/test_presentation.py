@@ -133,7 +133,7 @@ class TestConditions:
         assert pc.q1 == amb.word([(1, 2)]) and pc.q2 == amb.word([(1, 1)])
         # bracketed product starts and ends in the extremal copy
         block = pc.p1 * a * pc.p2
-        assert block.letters[0].copy_index == 1 and block.letters[-1].copy_index == 1
+        assert block.letters[0][0] == 1 and block.letters[-1][0] == 1
 
     def test_long_block_has_infinite_order(self):
         amb = FreeProduct(Z3, 1)

@@ -125,8 +125,7 @@ class TestAgainstFresh:
         for faces in (12, 16, 24):
             m = _connected_map(rng, Z3, faces)
             d = Diagram(PRES.ambient,
-                        [[Slot(s.dart, PRES.ambient.word(
-                            (l.copy_index, l.element) for l in s.corner.letters))
+                        [[Slot(s.dart, PRES.ambient.word(s.corner.letters))
                           for s in face] for face in m.faces],
                         m.pairing, m.arrow_of_edge.values(),
                         {frozenset(m.edges[ei]): lab for ei, lab in m.edge_label.items()},

@@ -13,9 +13,9 @@ from relpres.freeprod import FreeProduct
 from relpres.maps import corner_cycles
 from relpres.presentation import initial_rewrite, minimize
 from relpres.search import (CornerLabels, EnumerationConfig, EnumerationResult, FaceTemplate,
-                            Label, LeafCheck, SearchBoundExceeded, TemplateRecord,
+                            LeafCheck, SearchBoundExceeded, TemplateRecord,
                             _balanced_combos, _balanced_multisets, _dart_layout,
-                            _enumerate_multiset, _seam_product, _template_table,
+                            _enumerate_multiset, _template_table,
                             brute_force_enumerate, curvature_audit, enumerate_diagrams,
                             face_templates)
 from relpres.words import parse_word
@@ -178,7 +178,7 @@ def _layouts(pres, max_faces, digon_syllables):
     cfg = EnumerationConfig(pres, max_interior_faces=max_faces,
                             digon_syllables=digon_syllables)
     templates = face_templates(cfg)
-    labels = CornerLabels(pres.group)
+    labels = CornerLabels(pres.ambient.factors)
     table = _template_table(templates, pres, labels)
     return labels, [([table[i] for i in combo], *_dart_layout([templates[i] for i in combo]))
                     for combo in _balanced_combos([rec.balance for rec in table], max_faces)]
@@ -196,14 +196,13 @@ class TestTemplateTable:
         assert layouts
         assert labels.forms[0] == () and len(set(labels.forms)) == len(labels.forms)
         for records, faces, plus, minus in layouts:
-            chains = CornerChains(records, labels.forms, pres.group)
+            chains = CornerChains(records, labels.forms, pres.ambient)
             check = LeafCheck(records)
             darts = [slot.dart for face in faces for slot in face]
             assert darts == list(range(len(darts)))
             assert chains.prev_corner == [face[i - 1].dart for face in faces
                                           for i in range(len(face))]
-            assert chains.label == [tuple((l.copy_index, l.element) for l in slot.corner.letters)
-                                    for face in faces for slot in face]
+            assert chains.label == [slot.corner.letters for face in faces for slot in face]
             assert chains.first == chains.last == darts and chains.open == len(darts)
             assert (check.plus, check.minus) == (plus, minus)
             assert check.face_of == [f for f, face in enumerate(faces) for _ in face]
@@ -253,7 +252,8 @@ def _recount(faces, pairing):
 class CornerChains:
     """Reference for the flat walk's corner state: the vertex orbits of a
     partial gluing, kept up to date pair by pair with one method call and
-    one undo tuple per link, on normal-form label tuples.
+    one undo tuple per link, on normal-form label tuples, each product
+    normalized from the concatenated letters of both labels.
 
     Darts are numbered face by face from 0 (as in ``_dart_layout``), so
     corner ``c`` is the corner at the head of dart ``c``, and
@@ -268,9 +268,9 @@ class CornerChains:
     counters the prunes read; ``unglue`` undoes the last ``glue``.
     """
 
-    def __init__(self, records: list[TemplateRecord], forms: list[Label], group):
+    def __init__(self, records: list[TemplateRecord], forms: list[tuple], ambient):
         self.prev_corner: list[int] = []
-        self.label: list[Label] = []
+        self.label: list[tuple] = []
         offset = 0
         for rec in records:
             self.prev_corner += [offset + p for p in rec.prev]
@@ -281,8 +281,7 @@ class CornerChains:
         self.closed = 0
         self.open = offset
         self.nontrivial = 0
-        self._mul = group.mul
-        self._identity = group.identity
+        self._ambient = ambient
         self._undo: list[tuple] = []
 
     def _link(self, u: int, v: int) -> None:
@@ -301,7 +300,7 @@ class CornerChains:
         self._undo.append((v, f, u, w, label[f]))
         self.last[f] = w
         self.first[w] = f
-        label[f] = _seam_product(label[f], label[v], self._mul, self._identity)
+        label[f] = self._ambient.word(label[f] + label[v]).letters
         self.open -= 1
 
     def glue(self, a: int, b: int) -> None:
@@ -330,7 +329,7 @@ def reference_walk(config, records, forms, result):
     node the search of ``_enumerate_multiset``: the same survivors in the
     same insertion order, and the same counts added to ``result``."""
     pres = config.presentation
-    chains = CornerChains(records, forms, pres.group)
+    chains = CornerChains(records, forms, pres.ambient)
     check = LeafCheck(records)
     plus, minus = check.plus, check.minus
     n = len(plus)
@@ -433,15 +432,12 @@ class TestFlatWalk:
             assert cut
         elif bound == 2_000_000:
             assert leaves and not cut
-        # every memoised product is the seam product of its forms and the
-        # letters of the FPWord product
-        forms, amb, group = labels.forms, pres.ambient, pres.group
+        # every memoised product is the normal form of both forms' letters
+        forms, amb = labels.forms, pres.ambient
         assert labels.products
         for (x, y), p in labels.products.items():
             assert x and y
-            assert forms[p] == _seam_product(forms[x], forms[y], group.mul, group.identity)
-            word = amb.word(forms[x]) * amb.word(forms[y])
-            assert forms[p] == tuple((l.copy_index, l.element) for l in word.letters)
+            assert forms[p] == amb.word(forms[x] + forms[y]).letters
 
 
 class TestCornerChains:
@@ -451,7 +447,7 @@ class TestCornerChains:
         rng = random.Random(max_faces * 31 + pres.k)
         labels, layouts = _layouts(pres, max_faces, 1)
         for records, faces, plus, minus in rng.sample(layouts, min(6, len(layouts))):
-            chains = CornerChains(records, labels.forms, pres.group)
+            chains = CornerChains(records, labels.forms, pres.ambient)
             pairing, glued = {}, []
             for _ in range(4 * len(plus)):
                 if len(glued) < len(plus) and (not glued or rng.random() < 0.7):
@@ -469,8 +465,7 @@ class TestCornerChains:
                 assert chains.open == len(open_chains)
                 for first, (last, label) in open_chains.items():
                     assert chains.last[first] == last and chains.first[last] == first
-                    assert chains.label[first] == tuple(
-                        (l.copy_index, l.element) for l in label.letters)
+                    assert chains.label[first] == label.letters
 
 
 class TestPruneSoundness:
@@ -534,7 +529,7 @@ class TestLeafCheck:
         for records, faces, plus, minus in layouts:
             check = LeafCheck(records)
             for perm in itertools.permutations(minus):
-                chains = CornerChains(records, labels.forms, pres.group)
+                chains = CornerChains(records, labels.forms, pres.ambient)
                 pairing = {}
                 mate = [-1] * (2 * len(plus))
                 for a, b in zip(plus, perm):
@@ -560,14 +555,14 @@ class TestLeafCheck:
             prev=(3, 0, 1, 2), labels=(0,) * 4, plus=(0, 1), minus=(2, 3), balance=0,
             key="torus", kind="large", read=(100, 101, 102, 103),
             ending_inv=(200, 201, 202, 203))
-        labels = CornerLabels(pres.group)
+        labels = CornerLabels(pres.ambient.factors)
         records = [_template_table(templates, pres, labels)[digon], torus]
         check = LeafCheck(records)
         faces, plus, _ = _dart_layout(check.multiset)
         assert [[slot.dart for slot in face] for face in faces] == [[0, 1], [2, 3, 4, 5]]
         assert plus == check.plus == [1, 2, 3]
         pairing = {1: 0, 0: 1, 2: 4, 4: 2, 3: 5, 5: 3}
-        chains = CornerChains(records, labels.forms, pres.group)
+        chains = CornerChains(records, labels.forms, pres.ambient)
         for a in plus:
             chains.glue(a, pairing[a])
         assert chains.nontrivial == 2

@@ -34,7 +34,7 @@ class TestParse:
 
     def test_copy_suffix(self):
         w = parse_word("x@1 t", H1)
-        assert w.segments[0].letters[0].copy_index == 1
+        assert w.segments[0].letters[0][0] == 1
 
     def test_powers(self):
         w = tword("(x t)^2")
