@@ -11,8 +11,9 @@ that holds a copy of ``fixtures/`` so that every path the manifest records
 is relative.  Covered: the stdout of every README command on the fixtures;
 ``conjugacy oracle`` over Z/5 at eight syllables; ``presentation
 rewrite`` and ``verify`` of a 21 t-letter word; ``diagram reduce`` on
-both digon fixtures, on five spheres from ``tests/fixtures.py`` that need
-pulls, splits, hole fills and digon merges, and on a 12-digon chain, with
+both digon fixtures, on seven spheres from ``tests/fixtures.py`` that need
+pulls (a contraction, a split, a loop around a monogon, a discarded
+sphere), hole fills and digon merges, and on a 12-digon chain, with
 every chain file and the ``--trace`` file; ``diagram curvature --weights
 rule --audit`` on the first four-face survivor over ``pres_z3_k2`` that
 is not a degenerate digon (the weight rule does not apply to it); and
@@ -118,8 +119,8 @@ def rewritten_presentations(work: str) -> None:
 def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
     """Write spheres from ``tests/fixtures.py`` that the driver must reduce;
     returns (name, diagram file, presentation file) triples."""
-    from fixtures import (digon_chain, dumbbell, loop_split_sphere, mirror_large_pair,
-                          pres_z3, theta_digons)
+    from fixtures import (digon_chain, dumbbell, loop_split_sphere, looped_pinch_pair,
+                          mirror_large_pair, pres_z3, theta_digons)
     from relpres.moves import thicken
 
     p2, p3 = pres_z3(2), pres_z3(3)
@@ -129,7 +130,9 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
                ("theta", theta_digons(p2, x, y), p2),
                ("mirror-k2", mirror_large_pair(p2), p2),
                ("mirror-k3", mirror_large_pair(p3), p3),
-               ("chain-12", digon_chain(p2, [x] * 12), p2)]
+               ("chain-12", digon_chain(p2, [x] * 12), p2),
+               ("loop-monogon", looped_pinch_pair(p2, x, y), p2),
+               ("loop-discard", looped_pinch_pair(p2, x, y, balloon=True), p2)]
     out = []
     for name, diagram, pres in spheres:
         for suffix, doc in (("", diagram.to_dict()), ("_pres", pres.to_dict())):

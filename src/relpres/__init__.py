@@ -17,9 +17,9 @@ from .diagram import (Diagram, DiagramError, Slot, classify_face,
 from .moves import (DiagramChain, GlueResult, MoveError, MoveTrace, fill_hole,
                     glue_cyclic_copies, merge_digons, pull_identity_edge,
                     reduce_to_chain, replay_trace, thicken)
-from .conjugacy import (ReductionOutcome, center_certificate, digon_step,
-                        malnormality_oracle, prefix_trace, reduce_conjugator,
-                        single_letter_model)
+from .conjugacy import (FreeProductModel, ReductionOutcome, center_certificate,
+                        digon_step, malnormality_oracle, prefix_trace,
+                        reduce_conjugator)
 from .search import (EnumerationConfig, EnumerationResult,
                      brute_force_enumerate, curvature_audit, enumerate_diagrams)
 
@@ -40,7 +40,7 @@ __all__ = [
     "fill_hole", "pull_identity_edge", "thicken", "reduce_to_chain",
     "replay_trace", "glue_cyclic_copies",
     "ReductionOutcome", "digon_step", "prefix_trace", "reduce_conjugator",
-    "single_letter_model", "malnormality_oracle", "center_certificate",
+    "FreeProductModel", "malnormality_oracle", "center_certificate",
     "EnumerationConfig", "EnumerationResult", "enumerate_diagrams",
     "brute_force_enumerate", "curvature_audit",
 ]

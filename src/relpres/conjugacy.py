@@ -191,10 +191,6 @@ class FreeProductModel:
         return len(a) == 0 or (len(a) == 1 and a[0][0] == 0)
 
 
-def single_letter_model(group: GroupTable, g: int, k: int) -> FreeProductModel:
-    return FreeProductModel(group, g, k)
-
-
 @dataclass(frozen=True)
 class MalnormalityReport:
     holds: bool
@@ -219,7 +215,7 @@ def malnormality_oracle(group: GroupTable, g: int, k: int,
     """
     if max_syllables < 0:
         raise ValueError("max_syllables must be at least 0")
-    model = single_letter_model(group, g, k)
+    model = FreeProductModel(group, g, k)
     factors, in_base = model.factors, model.in_base_group
     hs = group.nontrivial()
     # (copy, x, x^-1) per one-letter word x, G-letters first
@@ -294,7 +290,7 @@ def center_certificate(pres: RelPresentation) -> CenterReport:
         # single-letter relators: check in the free-product model
         model = None
         if pres.m == -1 and len(pres.c.letters) == 1:
-            model = single_letter_model(group, pres.c.letters[0][1], pres.k)
+            model = FreeProductModel(group, pres.c.letters[0][1], pres.k)
         if model is None:
             return CenterReport(False, True, t_cert, (),
                                 notes="no copy spread and no single-letter form; "

@@ -685,12 +685,18 @@ class HowieReport:
     failures: tuple[str, ...]
 
 
+def check_ambient(diagram: Diagram, pres: RelPresentation) -> None:
+    """Raise ``DiagramError`` unless the diagram's corners live in the
+    presentation's ambient free product."""
+    if diagram.ambient != pres.ambient:
+        raise DiagramError("diagram and presentation live in different ambients")
+
+
 def validate_howie(diagram: Diagram, pres: RelPresentation,
                    allow_null_faces: bool = True) -> HowieReport:
     """Check interior face labels against the relator set and interior
     vertex labels against the identity of H."""
-    if diagram.ambient != pres.ambient:
-        raise DiagramError("diagram and presentation live in different ambients")
+    check_ambient(diagram, pres)
     failures = []
     classes = []
     for fi in range(len(diagram.faces)):
@@ -797,8 +803,7 @@ def curvature_weights(diagram: Diagram, pres: RelPresentation) -> WeightRuleResu
 # -- reducedness -----------------------------------------------------------
 
 
-def reducible_pairs(diagram: Diagram, interior_only: bool = True
-                    ) -> list[tuple[int, int, int]]:
+def reducible_pairs(diagram: Diagram) -> list[tuple[int, int, int]]:
     """Edges whose two (distinct, interior) faces carry mutually inverse
     labels read from that edge: (edge index, face1, face2)."""
     records, slot_of_dart = diagram.face_records(), diagram.slot_of_dart
@@ -808,7 +813,7 @@ def reducible_pairs(diagram: Diagram, interior_only: bool = True
         f2, s2 = slot_of_dart[d2]
         if f1 == f2:
             continue
-        if interior_only and (f1 in diagram.exterior_faces or f2 in diagram.exterior_faces):
+        if f1 in diagram.exterior_faces or f2 in diagram.exterior_faces:
             continue
         if records[f1].read()[s1] == records[f2].ending_inv()[s2]:
             out.append((ei, f1, f2))

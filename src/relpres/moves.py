@@ -3,9 +3,14 @@ pulls, strip thickening, the reduction driver, and cyclic gluing.
 
 All moves work on a mutable copy and rebuild an immutable Diagram, so a
 failed precondition can never corrupt the input.  Exterior-vertex markers
-ride on corners and survive corner merges.  The rebuilt diagram shares the
-face records (``Diagram.face_memo``) of the one the move started from, so
-a face the move leaves alone is not read again.
+ride on corners and survive corner merges (``MSlot.absorb``).  The rebuilt
+diagram shares the face records (``Diagram.face_memo``) of the one the
+move started from, so a face the move leaves alone is not read again.
+
+``reduce_to_chain`` picks each move with ``_next_move``, whose docstring
+gives the order and the trace-entry format, and applies it with
+``_apply``; ``replay_trace`` applies each recorded entry with the same
+``_apply``, so every move kind is applied in one place.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .diagram import (Diagram, Slot, classify_face, digon_adjacencies,
+from .diagram import (Diagram, Slot, check_ambient, classify_face, digon_adjacencies,
                       is_phi_reduced, label_from, reducible_pairs, validate_howie)
 from .freeprod import FPWord, FreeProduct, conjugate_in_free_product
 from .maps import components, corner_cycles
@@ -36,6 +41,12 @@ class MSlot:
         self.dart = dart
         self.corner = corner
         self.mark = mark
+
+    def absorb(self, gone: "MSlot") -> None:
+        """Fold the corner and mark of a slot being removed into this one,
+        the slot before it in walk order."""
+        self.corner = self.corner * gone.corner
+        self.mark = self.mark or gone.mark
 
 
 class MutableDiagram:
@@ -137,49 +148,29 @@ class MutableDiagram:
 def _remove_slot_merge_back(builder: MutableDiagram, fid: int, si: int) -> None:
     """Drop slot si, folding its corner into the predecessor's corner."""
     slots = builder.faces[fid]
-    gone = slots[si]
-    prev = slots[(si - 1) % len(slots)]
-    prev.corner = prev.corner * gone.corner
-    prev.mark = prev.mark or gone.mark
+    slots[si - 1].absorb(slots[si])
     del slots[si]
 
 
 def merge_faces_along(builder: MutableDiagram, dart: int) -> int:
     """Delete the edge of ``dart`` and join its two distinct faces.
 
-    Returns the id of the merged face.  Corner labels multiply at the two
-    seam vertices in walk order.
+    Returns the id of the merged face.  At each seam vertex the slot
+    before the deleted edge absorbs the corner after the other face's dart.
+    Neither face may be a monogon: no move merges one (``merge_digons``
+    joins digons, ``fill_hole`` large faces).
     """
-    partner = builder.pairing[dart]
     f1, i1 = builder.slot_ref(dart)
-    f2, i2 = builder.slot_ref(partner)
+    f2, i2 = builder.slot_ref(builder.pairing[dart])
     if f1 == f2:
         raise MoveError("edge borders a single face; cannot merge")
     s1 = builder.faces[f1]
     s2 = builder.faces[f2]
-    c_after_d = s1[i1].corner
-    mark_after_d = s1[i1].mark
-    c_after_p = s2[i2].corner
-    mark_after_p = s2[i2].mark
-    part1 = [s1[(i1 + 1 + k) % len(s1)] for k in range(len(s1) - 1)]
-    part2 = [s2[(i2 + 1 + k) % len(s2)] for k in range(len(s2) - 1)]
-    if part1:
-        part1[-1].corner = part1[-1].corner * c_after_p
-        part1[-1].mark = part1[-1].mark or mark_after_p
-        new = part1 + part2
-        if part2:
-            part2[-1].corner = part2[-1].corner * c_after_d
-            part2[-1].mark = part2[-1].mark or mark_after_d
-        else:
-            new = part1[:-1] + [MSlot(part1[-1].dart,
-                                      part1[-1].corner * c_after_d,
-                                      part1[-1].mark or mark_after_d)]
-    elif part2:
-        part2[-1].corner = part2[-1].corner * c_after_p * c_after_d
-        part2[-1].mark = part2[-1].mark or mark_after_p or mark_after_d
-        new = part2
-    else:
-        raise MoveError("merging two monogons would leave an empty face")
+    if len(s1) == 1 or len(s2) == 1:
+        raise MoveError("edge borders a monogon; cannot merge")
+    s1[i1 - 1].absorb(s2[i2])
+    s2[i2 - 1].absorb(s1[i1])
+    new = s1[i1 + 1:] + s1[:i1] + s2[i2 + 1:] + s2[:i2]
     builder.unpair(dart)
     del builder.faces[f1]
     del builder.faces[f2]
@@ -256,21 +247,13 @@ def collapse_trivial_bigon(builder: MutableDiagram, fid: int) -> None:
     builder.pair(pa, pb, label=la, arrow=keep_arrow if keep_arrow is not None else pa)
 
 
-def _collapse_new_trivial_bigons(builder: MutableDiagram, candidates: list[int]) -> list[int]:
-    collapsed = []
+def _collapse_new_trivial_bigons(builder: MutableDiagram, candidates: list[int]) -> None:
     for fid in candidates:
-        if fid not in builder.faces:
-            continue
-        slots = builder.faces[fid]
-        if (len(slots) == 2
-                and slots[0].corner.is_identity() and slots[1].corner.is_identity()
-                and builder.edge_label(slots[0].dart) == builder.edge_label(slots[1].dart)):
+        if fid in builder.faces:
             try:
                 collapse_trivial_bigon(builder, fid)
             except MoveError:
-                continue
-            collapsed.append(fid)
-    return collapsed
+                pass
 
 
 @dataclass(frozen=True)
@@ -278,11 +261,9 @@ class PullResult:
     kind: str                       # contracted | split | discarded
     diagrams: tuple[Diagram, ...]
     pinch_labels: tuple[FPWord, ...] = ()
-    note: str = ""
 
 
-def pull_identity_edge(diagram: Diagram, edge_index: int,
-                       collapse_bigons: bool = True) -> PullResult:
+def pull_identity_edge(diagram: Diagram, edge_index: int) -> PullResult:
     """Contract an identity-labeled edge, or split along an identity loop.
 
     Distinct endpoints: the edge contracts, adjacent corners multiply, and
@@ -290,7 +271,9 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
     the sphere in two; the component without exterior markers is
     discarded after checking its pinch label is trivial, otherwise both
     components return with the pinch vertices marked exterior.  A pull
-    never discards the exterior face: that raises ``MoveError``.
+    never discards the exterior face, and a loop with one face on both
+    sides (which a sphere cannot have) does not separate: both raise
+    ``MoveError``.
     """
     d1, d2 = diagram.edges[edge_index]
     if diagram.edge_label[edge_index] != "1":
@@ -301,7 +284,7 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
     mono = [(f, i) for f, i in ((f1, i1), (f2, i2)) if len(diagram.faces[f]) == 1]
     if mono:
         # an identity loop bounding a monogon: the enclosed disk vanishes
-        if len(mono) == 2 or f1 == f2:
+        if len(mono) == 2:
             raise MoveError("identity edge bounds only monogons; nothing to keep")
         (fm, im) = mono[0]
         (fo, io) = (f2, i2) if fm == f1 else (f1, i1)
@@ -311,23 +294,21 @@ def pull_identity_edge(diagram: Diagram, edge_index: int,
         builder.unpair(d1)
         del builder.faces[fm]
         _remove_slot_merge_back(builder, fo, io)
-        if collapse_bigons:
-            _collapse_new_trivial_bigons(builder, [fo])
+        _collapse_new_trivial_bigons(builder, [fo])
         return PullResult("contracted", (builder.to_diagram(),))
     if diagram.head(d1) != diagram.tail(d1):
         if f1 == f2 and len(diagram.faces[f1]) == 2:
             return _drop_edgeless_sphere(builder, f1)
         builder.unpair(d1)
-        if f1 == f2:
-            hi, lo = max(i1, i2), min(i1, i2)
-            _remove_slot_merge_back(builder, f1, hi)
-            _remove_slot_merge_back(builder, f1, lo)
-        else:
-            _remove_slot_merge_back(builder, f1, i1)
-            _remove_slot_merge_back(builder, f2, i2)
-        if collapse_bigons:
-            _collapse_new_trivial_bigons(builder, [f1, f2])
+        # the later slot first, so the earlier index stays valid in one face
+        for f, i in sorted(((f1, i1), (f2, i2)), reverse=True):
+            _remove_slot_merge_back(builder, f, i)
+        _collapse_new_trivial_bigons(builder, [f1, f2])
         return PullResult("contracted", (builder.to_diagram(),))
+    if f1 == f2:
+        # a loop separates a sphere, so its two sides lie in distinct faces
+        raise MoveError("identity loop has one face on both sides; it does not separate "
+                        "the diagram")
     return _pull_loop(diagram, builder, d1, d2)
 
 
@@ -343,38 +324,17 @@ def _drop_edgeless_sphere(builder: MutableDiagram, fid: int) -> PullResult:
     builder.unpair(first.dart)
     del builder.faces[fid]
     builder.exterior_faces.discard(fid)
-    return PullResult("discarded", (builder.to_diagram(),),
-                      note="dropped an edgeless sphere with trivial label")
+    return PullResult("discarded", (builder.to_diagram(),))
 
 
 def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> PullResult:
-    f1, i1 = diagram.slot_of_dart[d1]
-    f2, i2 = diagram.slot_of_dart[d2]
+    """Split along an identity loop whose sides lie in distinct faces."""
     builder.unpair(d1)
     pinch_corners: list[MSlot] = []
-    if f1 != f2:
-        for fid, si in ((f1, i1), (f2, i2)):
-            slots = builder.faces[fid]
-            prev = slots[(si - 1) % len(slots)]
-            _remove_slot_merge_back(builder, fid, si)
-            pinch_corners.append(prev)
-    else:
-        slots = builder.faces[f1]
-        lo, hi = min(i1, i2), max(i1, i2)
-        mid = slots[lo + 1:hi]
-        rest = slots[hi + 1:] + slots[:lo]
-        if not mid or not rest:
-            raise MoveError("loop bounds an empty region; collapse the bigon instead")
-        mid[-1].corner = mid[-1].corner * slots[hi].corner
-        mid[-1].mark = mid[-1].mark or slots[hi].mark
-        rest[-1].corner = rest[-1].corner * slots[lo].corner
-        rest[-1].mark = rest[-1].mark or slots[lo].mark
-        was_ext = f1 in builder.exterior_faces
-        del builder.faces[f1]
-        builder.exterior_faces.discard(f1)
-        builder.add_face(mid, exterior=was_ext)
-        builder.add_face(rest, exterior=was_ext)
-        pinch_corners.extend([mid[-1], rest[-1]])
+    for dart in (d1, d2):
+        fid, si = diagram.slot_of_dart[dart]
+        pinch_corners.append(builder.faces[fid][si - 1])
+        _remove_slot_merge_back(builder, fid, si)
 
     comps = _split_components(builder)
     if len(comps) != 2:
@@ -397,17 +357,10 @@ def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> P
         sides.append((comp, corner))
     marked = [has_marks(c) for c, _ in sides]
     if all(marked):
-        labels = []
-        for comp, corner in sides:
-            lab = pinch_label(comp, corner)
-            labels.append(lab)
-            for fid, slots in comp.faces.items():
-                for s in slots:
-                    if s is corner:
-                        s.mark = True
-        return PullResult("split",
-                          tuple(c.to_diagram() for c, _ in sides),
-                          tuple(labels))
+        labels = tuple(pinch_label(comp, corner) for comp, corner in sides)
+        for _, corner in sides:
+            corner.mark = True
+        return PullResult("split", tuple(c.to_diagram() for c, _ in sides), labels)
     keep, drop = (sides[0], sides[1]) if marked[0] else (sides[1], sides[0])
     if drop[0].exterior_faces:
         raise MoveError("identity loop would discard the component with the exterior face")
@@ -416,9 +369,7 @@ def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> P
         raise MoveError(
             f"discarded component has nontrivial pinch label {drop_label}; "
             "cannot certify it inside the base free product")
-    return PullResult("discarded", (keep[0].to_diagram(),),
-                      (pinch_label(*keep),),
-                      note="dropped a spherical component with trivial pinch label")
+    return PullResult("discarded", (keep[0].to_diagram(),), (pinch_label(*keep),))
 
 
 def _split_components(builder: MutableDiagram) -> list[MutableDiagram]:
@@ -575,8 +526,77 @@ def _hash(d: Diagram) -> str:
     return hashlib.sha256(d.canonical_form().encode()).hexdigest()[:16]
 
 
-def _identity_edges(d: Diagram) -> list[int]:
-    return [ei for ei in range(len(d.edges)) if d.edge_label[ei] == "1"]
+def _next_move(d: Diagram, pres: RelPresentation) -> tuple[str, tuple[int, ...]] | None:
+    """The move ``reduce_to_chain`` applies next to ``d``, as ``(move,
+    darts)``, or None when ``d`` is clean.
+
+    The order is fixed: an identity edge (``"pull"``), then a reducible
+    pair (``"fill_hole"`` for two large faces, ``"merge_digons"`` for two
+    digons), then a digon adjacency (``"merge_digons"``), each at the edge
+    with the lowest darts; then the first non-exterior trivial bigon, a
+    two-sided face with trivial corners and equal edge labels
+    (``"collapse_bigon"``).  ``darts`` is the edge's dart pair, or the
+    bigon's darts in increasing order.
+
+    Each applied move is one ``TraceEntry``: ``move`` is the name
+    ``_apply`` returns (``pull_contracted``, ``pull_split`` or
+    ``pull_discarded`` for a pull), ``edge_darts`` the ``darts`` above,
+    ``before`` and ``after`` the hashes of ``d`` and of the diagrams that
+    replace it, and ``link_labels`` a split's two pinch labels (None for
+    every other move).
+    """
+    ids = [ei for ei in range(len(d.edges)) if d.edge_label[ei] == "1"]
+    if ids:
+        return "pull", min(d.edges[ei] for ei in ids)
+    red = reducible_pairs(d)
+    if red:
+        ei, fa, fb = min(red, key=lambda r: d.edges[r[0]])
+        kinds = (classify_face(d, pres, fa).kind, classify_face(d, pres, fb).kind)
+        if kinds == ("large", "large"):
+            return "fill_hole", d.edges[ei]
+        if kinds == ("digon", "digon"):
+            return "merge_digons", d.edges[ei]
+        raise MoveError(f"mixed reducible pair {kinds[0]}/{kinds[1]} at edge {ei}")
+    adj = digon_adjacencies(d, pres)
+    if adj:
+        return "merge_digons", min(d.edges[ei] for ei, _, _ in adj)
+    for fi, face in enumerate(d.faces):
+        if (fi not in d.exterior_faces and len(face) == 2
+                and all(s.corner.is_identity() for s in face)
+                and len({d.edge_label[d.edge_of_dart[s.dart]] for s in face}) == 1):
+            return "collapse_bigon", tuple(sorted(s.dart for s in face))
+    return None
+
+
+def _apply(d: Diagram, pres: RelPresentation, move: str, darts: tuple[int, ...] | None
+           ) -> tuple[str, tuple[Diagram, ...], tuple[str, ...] | None]:
+    """Apply ``move`` at ``darts`` (see ``_next_move``; any name starting
+    with ``pull`` pulls).  Returns the move's name in the trace, the
+    diagrams that replace ``d`` and a split's pinch labels."""
+    if move == "collapse_bigon":
+        fi = next((i for i, face in enumerate(d.faces)
+                   if tuple(sorted(s.dart for s in face)) == darts), None)
+        if fi is None:
+            raise MoveError(f"trace collapse_bigon darts {darts} are not a face")
+    else:
+        ei = next((i for i, e in enumerate(d.edges) if e == darts), None)
+        if ei is None:
+            raise MoveError(f"trace {move} darts {darts} are not an edge")
+        if move.startswith("pull"):
+            res = pull_identity_edge(d, ei)
+            links = tuple(str(p) for p in res.pinch_labels) if res.kind == "split" else None
+            return "pull_" + res.kind, res.diagrams, links
+        if move == "fill_hole":
+            return move, (fill_hole(d, pres, ei),), None
+        if move != "merge_digons":
+            raise MoveError(f"unknown trace move {move}")
+        d, word, fi = merge_digons(d, pres, ei)
+        if not word.is_identity():
+            return move, (d,), None
+    # a trivial bigon, found by _next_move or left by two cancelling digons
+    builder = MutableDiagram.from_diagram(d)
+    collapse_trivial_bigon(builder, fi)
+    return move, (builder.to_diagram(),), None
 
 
 def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
@@ -588,9 +608,10 @@ def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
     completely, or a thickened diagram with an exterior face; a pull
     that would discard the exterior face raises ``MoveError``.
 
-    Deterministic: identity edges first, then reducible pairs, then digon
-    adjacencies, always at the lowest dart id.
+    Deterministic: each step applies ``_next_move`` to the first chain
+    diagram that is not yet clean and records one trace entry.
     """
+    check_ambient(diagram, pres)
     bound = step_factor * (len(diagram.faces) + len(diagram.edges) + 2)
     chain: list[Diagram] = [diagram]
     entries: list[TraceEntry] = []
@@ -601,135 +622,46 @@ def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
         steps += 1
         if steps > bound:
             raise ReductionBoundExceeded(f"reduction exceeded the step bound {bound}")
-        ids = _identity_edges(d)
-        if ids:
-            ei = min(ids, key=lambda e: d.edges[e])
-            before = _hash(d)
-            res = pull_identity_edge(d, ei)
-            if res.kind == "split":
-                chain[idx:idx + 1] = list(res.diagrams)
-                entries.append(TraceEntry("pull_split", d.edges[ei], before,
-                                          tuple(_hash(x) for x in res.diagrams),
-                                          (str(res.pinch_labels[0]),
-                                           str(res.pinch_labels[1]))))
-            else:
-                chain[idx] = res.diagrams[0]
-                entries.append(TraceEntry(
-                    "pull_" + res.kind, d.edges[ei], before,
-                    (_hash(res.diagrams[0]),)))
+        step = _next_move(d, pres)
+        if step is None:
+            report = validate_howie(d, pres, allow_null_faces=False)
+            if not report.ok:
+                raise MoveError("reduced diagram fails validation: "
+                                + "; ".join(report.failures))
+            ok, witness = is_phi_reduced(d, pres)
+            if not ok:
+                raise MoveError(f"driver left a non-reduced diagram: {witness}")
+            idx += 1
             continue
-        red = reducible_pairs(d)
-        if red:
-            ei, fa, fb = min(red, key=lambda r: d.edges[r[0]])
-            ka = classify_face(d, pres, fa).kind
-            kb = classify_face(d, pres, fb).kind
-            before = _hash(d)
-            if ka == "large" and kb == "large":
-                nxt = fill_hole(d, pres, ei)
-                entries.append(TraceEntry("fill_hole", d.edges[ei], before, (_hash(nxt),)))
-            elif ka == "digon" and kb == "digon":
-                nxt, word, out_fi = merge_digons(d, pres, ei)
-                nxt = _cleanup_trivial_digon(nxt, word, out_fi)
-                entries.append(TraceEntry("merge_digons", d.edges[ei], before, (_hash(nxt),)))
-            else:
-                raise MoveError(f"mixed reducible pair {ka}/{kb} at edge {ei}")
-            chain[idx] = nxt
-            continue
-        adj = digon_adjacencies(d, pres)
-        if adj:
-            ei, fa, fb = min(adj, key=lambda r: d.edges[r[0]])
-            before = _hash(d)
-            nxt, word, out_fi = merge_digons(d, pres, ei)
-            nxt = _cleanup_trivial_digon(nxt, word, out_fi)
-            entries.append(TraceEntry("merge_digons", d.edges[ei], before, (_hash(nxt),)))
-            chain[idx] = nxt
-            continue
-        leftover = _trivial_bigon_faces(d)
-        if leftover:
-            fi = leftover[0]
-            before = _hash(d)
-            builder = MutableDiagram.from_diagram(d)
-            collapse_trivial_bigon(builder, fi)
-            nxt = builder.to_diagram()
-            entries.append(TraceEntry("collapse_bigon",
-                                      tuple(sorted(s.dart for s in d.faces[fi])),
-                                      before, (_hash(nxt),)))
-            chain[idx] = nxt
-            continue
-        report = validate_howie(d, pres, allow_null_faces=False)
-        if not report.ok:
-            raise MoveError("reduced diagram fails validation: "
-                            + "; ".join(report.failures))
-        ok, witness = is_phi_reduced(d, pres)
-        if not ok:
-            raise MoveError(f"driver left a non-reduced diagram: {witness}")
-        idx += 1
+        name, diagrams, links = _apply(d, pres, *step)
+        entries.append(TraceEntry(name, step[1], _hash(d),
+                                  tuple(_hash(x) for x in diagrams), links))
+        chain[idx:idx + 1] = diagrams
     return DiagramChain(tuple(chain)), MoveTrace(tuple(entries))
-
-
-def _trivial_bigon_faces(d: Diagram) -> list[int]:
-    out = []
-    for fi, face in enumerate(d.faces):
-        if fi in d.exterior_faces or len(face) != 2:
-            continue
-        if all(s.corner.is_identity() for s in face):
-            labels = {d.edge_label[d.edge_of_dart[s.dart]] for s in face}
-            if len(labels) == 1:
-                out.append(fi)
-    return out
-
-
-def _cleanup_trivial_digon(d: Diagram, word: FPWord, fi: int) -> Diagram:
-    if not word.is_identity():
-        return d
-    builder = MutableDiagram.from_diagram(d)
-    collapse_trivial_bigon(builder, fi)
-    return builder.to_diagram()
 
 
 def replay_trace(diagram: Diagram, pres: RelPresentation, trace: MoveTrace
                  ) -> DiagramChain:
-    """Re-apply a recorded move sequence, checking every hash.  An entry
-    that does not fit the chain raises ``MoveError``."""
+    """Re-apply a recorded move sequence, checking every move name, split
+    link and hash.  An entry that does not fit the chain raises
+    ``MoveError``."""
+    check_ambient(diagram, pres)
     chain: list[Diagram] = [diagram]
     for entry in trace.entries:
         idx = next((i for i, d in enumerate(chain) if _hash(d) == entry.before), None)
         if idx is None:
             raise MoveError(f"trace {entry.move} starts from {entry.before}, "
                             "which matches no chain diagram")
-        d = chain[idx]
         darts = tuple(entry.edge_darts) if isinstance(entry.edge_darts, (list, tuple)) else None
-        if entry.move == "collapse_bigon":
-            fi = next((i for i, face in enumerate(d.faces)
-                       if tuple(sorted(s.dart for s in face)) == darts), None)
-            if fi is None:
-                raise MoveError(f"trace collapse_bigon darts {entry.edge_darts} are not a face")
-            builder = MutableDiagram.from_diagram(d)
-            collapse_trivial_bigon(builder, fi)
-            chain[idx] = builder.to_diagram()
-        else:
-            ei = next((i for i, e in enumerate(d.edges) if e == darts), None)
-            if ei is None:
-                raise MoveError(f"trace {entry.move} darts {entry.edge_darts} are not an edge")
-            if entry.move.startswith("pull"):
-                res = pull_identity_edge(d, ei)
-                if entry.move != "pull_" + res.kind:
-                    raise MoveError(f"trace {entry.move} replays as pull_{res.kind}")
-                if res.kind == "split" and tuple(entry.link_labels or ()) != tuple(
-                        str(p) for p in res.pinch_labels):
-                    raise MoveError(f"trace pull_split links {entry.link_labels} differ "
-                                    "from the pinch labels of the replayed split")
-                chain[idx:idx + 1] = list(res.diagrams)
-            elif entry.move == "fill_hole":
-                chain[idx] = fill_hole(d, pres, ei)
-            elif entry.move == "merge_digons":
-                nxt, word, out_fi = merge_digons(d, pres, ei)
-                chain[idx] = _cleanup_trivial_digon(nxt, word, out_fi)
-            else:
-                raise MoveError(f"unknown trace move {entry.move}")
-        got = tuple(_hash(x) for x in (chain[idx:idx + len(entry.after)]))
-        if got != entry.after:
+        name, diagrams, links = _apply(chain[idx], pres, entry.move, darts)
+        if name != entry.move:
+            raise MoveError(f"trace {entry.move} replays as {name}")
+        if tuple(entry.link_labels or ()) != (links or ()):
+            raise MoveError(f"trace {entry.move} links {entry.link_labels} differ "
+                            "from the pinch labels of the replayed split")
+        if tuple(_hash(x) for x in diagrams) != entry.after:
             raise MoveError(f"replay hash mismatch at {entry.move}")
+        chain[idx:idx + 1] = diagrams
     return DiagramChain(tuple(chain))
 
 

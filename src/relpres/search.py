@@ -81,7 +81,6 @@ class EnumerationConfig:
     presentation: RelPresentation
     max_interior_faces: int = 2
     digon_syllables: int = 1
-    symmetry_dedup: bool = True
     max_matchings_per_multiset: int = 2_000_000
 
     def __post_init__(self):
@@ -334,9 +333,7 @@ def enumerate_diagrams(config: EnumerationConfig) -> EnumerationResult:
         records = [table[i] for i in combo]
         survivors, complete = _enumerate_multiset(config, records, labels, result)
         for form, diagram in survivors.items():
-            name = form if config.symmetry_dedup else f"{form}#{len(result.survivors)}"
-            if name not in result.survivors:
-                result.survivors[name] = diagram
+            result.survivors.setdefault(form, diagram)
         result.counts_per_multiset[tuple(rec.key for rec in records)] = len(survivors)
         result.complete = result.complete and complete
     return result

@@ -241,6 +241,36 @@ def pinch_pair(pres: RelPresentation, p: FPWord, q: FPWord) -> Diagram:
                    exterior_vertex_seeds=[(0, 1), (1, 1)])
 
 
+def looped_pinch_pair(pres: RelPresentation, p: FPWord, q: FPWord,
+                      balloon: bool = False) -> Diagram:
+    """``pinch_pair`` with an identity loop (darts 8, 9) at its interior
+    pinch vertex, inside the exterior face.
+
+    The loop bounds a trivial monogon, so pulling it contracts the monogon
+    away.  With ``balloon`` it bounds a trivial bigon around a second
+    identity loop (darts 10, 11) and its trivial monogon: pulling the
+    first loop splits off that sphere, which has no exterior vertex and
+    a trivial pinch label, so it is discarded.  Either way ``pinch_pair``
+    is left.
+    """
+    amb = pres.ambient
+    one = amb.one()
+    D1 = [Slot(0, p.shift(1).inv()), Slot(2, p)]
+    D2 = [Slot(4, q.shift(1).inv()), Slot(6, q)]
+    ext = [Slot(1, one), Slot(3, p.shift(1)), Slot(8, one), Slot(5, one), Slot(7, q.shift(1))]
+    pairing = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6, 8: 9, 9: 8}
+    arrows = [0, 3, 4, 7, 8]
+    labels = {frozenset((8, 9)): "1"}
+    inner = [[Slot(9, one)]]
+    if balloon:
+        inner = [[Slot(9, one), Slot(10, one)], [Slot(11, one)]]
+        pairing.update({10: 11, 11: 10})
+        arrows.append(10)
+        labels[frozenset((10, 11))] = "1"
+    return Diagram(amb, [D1, D2, ext, *inner], pairing, arrows, labels,
+                   exterior_faces=[2], exterior_vertex_seeds=[(0, 1), (1, 1)])
+
+
 def loop_split_sphere(pres: RelPresentation, p: FPWord) -> Diagram:
     """Two digon disks (for p and p^-1) separated by an identity loop at
     an interior pinch vertex; pulling the loop splits the sphere in two

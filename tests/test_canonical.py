@@ -199,8 +199,7 @@ class TestAgainstReference:
         res = enumerate_diagrams(cfg)
         for form, d in res.survivors.items():
             assert form == d.canonical_form() == slow_canonical_form(d)
-        two = EnumerationConfig(pres, max_interior_faces=2, digon_syllables=1,
-                                symmetry_dedup=False)
+        two = EnumerationConfig(pres, max_interior_faces=2, digon_syllables=1)
         for d in brute_force_enumerate(two).survivors.values():
             assert d.canonical_form() == slow_canonical_form(d)
 

@@ -156,6 +156,13 @@ class TestDiagram:
         assert "step bound" in doc["result"]["error"]
         assert doc["manifest"]["exit_status"] == 3
 
+    def test_reduce_refuses_a_diagram_over_another_ambient(self, capsys, tmp_path):
+        # two_onegons.json has s = 0, pres_z3_k2.json has s = 1
+        code, doc = run(capsys, "diagram", "reduce", "--in", fixture("two_onegons.json"),
+                        "--pres", fixture("pres_z3_k2.json"), "--out", str(tmp_path / "chain"))
+        assert code == 2
+        assert doc == {"error": "diagram and presentation live in different ambients"}
+
 
 class TestConjugacy:
     def test_reduce(self, capsys):

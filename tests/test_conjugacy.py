@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from relpres.conjugacy import (FreeProductModel, MalnormalityReport, StuckSignal,
                                center_certificate, digon_step, malnormality_oracle,
-                               prefix_trace, reduce_conjugator, single_letter_model)
+                               prefix_trace, reduce_conjugator)
 from relpres.freeprod import FreeProduct, inverse, normal_form, seam_product
 from relpres.presentation import initial_rewrite, minimize
 from relpres.words import TWord, from_items, parse_word, t_letter
@@ -199,18 +199,18 @@ class TestInflationRoundtrip:
 
 class TestFreeProductModel:
     def test_t_image(self):
-        m = single_letter_model(Z2, 1, 2)
+        m = FreeProductModel(Z2, 1, 2)
         w = parse_word("t", FreeProduct(Z2, 0))
         assert m.map_word(w) == ((0, 1), (1, 1))
 
     def test_relator_word_dies(self):
-        m = single_letter_model(Z2, 1, 2)
+        m = FreeProductModel(Z2, 1, 2)
         w = parse_word("x t", FreeProduct(Z2, 0))
         assert m.map_word(w.pow(2)) == ()
 
     def test_homomorphism_on_random_pairs(self):
         rng = random.Random(3)
-        m = single_letter_model(Z4, 1, 3)
+        m = FreeProductModel(Z4, 1, 3)
         base = FreeProduct(Z4, 0)
         tokens = ["x", "y", "z", "t", "t^-1"]
         for _ in range(500):
@@ -221,7 +221,7 @@ class TestFreeProductModel:
             assert m.map_word(a * b) == seam_product(m.factors, m.map_word(a), m.map_word(b))
 
     def test_distinct_normal_forms_stay_distinct(self):
-        m = single_letter_model(Z4, 1, 2)
+        m = FreeProductModel(Z4, 1, 2)
         base = FreeProduct(Z4, 0)
         words = ["x", "y", "t", "x t", "t x", "t t", "x t y"]
         images = [m.map_word(parse_word(w, base)) for w in words]
@@ -256,7 +256,7 @@ def conjugate(model, u, h):
 def reference_oracle(group, g, k, max_syllables):
     """The oracle over the whole breadth-first word list, with every
     conjugate normalized from its full letter sequence."""
-    model = single_letter_model(group, g, k)
+    model = FreeProductModel(group, g, k)
     checked = 0
     for u in model_words_up_to(model, max_syllables):
         if model.in_base_group(u):
@@ -275,7 +275,7 @@ class TestMalnormalityOracle:
         assert rep.holds and rep.checked > 0
 
     def test_conjugate_stays_outside(self):
-        m = single_letter_model(Z2, 1, 2)
+        m = FreeProductModel(Z2, 1, 2)
         u = ((1, 1),)
         value = seam_product(m.factors, seam_product(m.factors, inverse(m.factors, u), ((0, 1),)), u)
         assert not m.in_base_group(value) and len(value) == 3
@@ -286,7 +286,7 @@ class TestMalnormalityOracle:
         assert rep.holds, rep.counterexample
 
     def test_base_group_words_skipped(self):
-        m = single_letter_model(Z2, 1, 2)
+        m = FreeProductModel(Z2, 1, 2)
         words = model_words_up_to(m, 2)
         outside = [u for u in words if not m.in_base_group(u)]
         assert ((0, 1),) not in outside and () not in outside
@@ -313,7 +313,7 @@ class TestMalnormalityOracle:
     @pytest.mark.parametrize("pick", [0, 7, 0.5, -1], ids=["first", "early", "middle", "last"])
     def test_same_first_hit_when_a_value_is_flagged(self, monkeypatch, pick):
         # every (u, h, value) the reference visits, in its order
-        model = single_letter_model(Z3, 1, 3)
+        model = FreeProductModel(Z3, 1, 3)
         visits = [(u, h, conjugate(model, u, h))
                   for u in model_words_up_to(model, 5) if not model.in_base_group(u)
                   for h in Z3.nontrivial()]
@@ -333,7 +333,7 @@ class TestModelProduct:
                              ids=["Z3-k2", "Z4-k3", "S3-k2", "S3-k3"])
     @given(data=st.data())
     def test_matches_normalize(self, group, k, data):
-        factors = single_letter_model(group, 1, k).factors
+        factors = FreeProductModel(group, 1, k).factors
         raw = st.lists(st.one_of(st.tuples(st.just(0), st.integers(0, group.order - 1)),
                                  st.tuples(st.just(1), st.integers(0, k - 1))),
                        max_size=10)

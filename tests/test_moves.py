@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
-from relpres.diagram import (Diagram, Slot, classify_face, reducible_pairs,
+from relpres.diagram import (Diagram, DiagramError, Slot, classify_face, reducible_pairs,
                              validate_howie)
-from relpres.freeprod import conjugate_in_free_product
-from relpres.moves import (MoveError, MoveTrace, ReductionBoundExceeded, fill_hole,
-                           glue_cyclic_copies, merge_digons, pull_identity_edge,
-                           reduce_to_chain, replay_trace, thicken)
-from fixtures import (Z3, degenerate_digon, digon_chain, dumbbell,
+from relpres.freeprod import FreeProduct, conjugate_in_free_product
+from relpres.moves import (MoveError, MoveTrace, MutableDiagram, ReductionBoundExceeded,
+                           fill_hole, glue_cyclic_copies, merge_digons, merge_faces_along,
+                           pull_identity_edge, reduce_to_chain, replay_trace, thicken)
+from fixtures import (Z3, degenerate_digon, digon_chain, dumbbell, looped_pinch_pair,
                       loop_split_sphere, mirror_large_pair, path_sphere,
                       pinch_pair, pres_z2, pres_z3, theta_digons, tripod)
 
@@ -71,6 +71,15 @@ class TestMergeDigons:
         for w in words:
             folded = folded * w
         assert digons[0].digon_word == folded
+
+
+@pytest.mark.parametrize("make, dart", [
+    (lambda: Diagram(AMB, [[Slot(0, X)], [Slot(1, Y)]], {0: 1, 1: 0}, [0]), 0),
+    (lambda: looped_pinch_pair(PRES, X, Y), 8)], ids=["two-monogons", "monogon-and-face"])
+def test_merge_faces_along_refuses_a_monogon(make, dart):
+    builder = MutableDiagram.from_diagram(make())
+    with pytest.raises(MoveError, match="monogon"):
+        merge_faces_along(builder, dart)
 
 
 class TestFillHole:
@@ -204,6 +213,26 @@ class TestPull:
         with pytest.raises(MoveError):
             pull_identity_edge(d, 0)
 
+    @pytest.mark.parametrize("balloon, kind", [(False, "contracted"), (True, "discarded")],
+                             ids=["monogon", "unmarked-sphere"])
+    def test_loop_at_the_pinch_leaves_the_pinch_pair(self, balloon, kind):
+        d = looped_pinch_pair(PRES, X, Y, balloon)
+        assert d.chi == 2 and validate_howie(d, PRES).ok
+        res = pull_identity_edge(d, d.edge_of_dart[8])
+        assert res.kind == kind
+        assert [x.canonical_form() for x in res.diagrams] == \
+               [pinch_pair(PRES, X, Y).canonical_form()]
+        assert all(label.is_identity() for label in res.pinch_labels)
+
+    def test_loop_with_one_face_on_both_sides_does_not_separate(self):
+        # on a torus an identity loop can have the same face on both sides
+        amb = FreeProduct(Z3, 0)
+        d = Diagram(amb, [[Slot(i, amb.one()) for i in range(4)]],
+                    {0: 2, 2: 0, 1: 3, 3: 1}, [0, 1], edge_labels={frozenset((0, 2)): "1"})
+        assert d.chi == 0
+        with pytest.raises(MoveError, match="separate"):
+            pull_identity_edge(d, d.edge_of_dart[0])
+
 
 class TestReduceToChain:
     def test_already_clean(self):
@@ -310,9 +339,25 @@ class TestReduceToChain:
         with pytest.raises(MoveError, match="pull_split"):
             replay_trace(d, PRES, bad)
 
+    @pytest.mark.parametrize("balloon, move", [(False, "pull_contracted"),
+                                               (True, "pull_discarded")],
+                             ids=["monogon", "unmarked-sphere"])
+    def test_loop_at_the_pinch_is_pulled_first(self, balloon, move):
+        d = looped_pinch_pair(PRES, X, Y, balloon)
+        chain, trace = reduce_to_chain(d, PRES)
+        assert [(e.move, e.edge_darts) for e in trace.entries] == [(move, (8, 9))]
+        assert [x.canonical_form() for x in chain.diagrams] == \
+               [pinch_pair(PRES, X, Y).canonical_form()]
+
+    def test_replay_refuses_a_diagram_over_another_ambient(self):
+        with pytest.raises(DiagramError, match="different ambients"):
+            replay_trace(degenerate_digon(PRES, X), pres_z2(2), MoveTrace(()))
+
     def test_replay_reproduces_chain(self):
         for fixture in (loop_split_sphere(PRES, X),
-                        thicken(dumbbell(PRES, X, Y, [X]))):
+                        thicken(dumbbell(PRES, X, Y, [X])),
+                        looped_pinch_pair(PRES, X, Y),
+                        looped_pinch_pair(PRES, X, Y, balloon=True)):
             chain, trace = reduce_to_chain(fixture, PRES)
             replayed = replay_trace(fixture, PRES, trace)
             assert [d.canonical_form() for d in replayed.diagrams] == \
