@@ -24,8 +24,11 @@ minimized k=2 rewrites over Z/3 with deep gluing trees: DEEP_WORD at
 three faces and two digon syllables (one pair, 11,706 nodes) and WORD at
 four faces, which stops at the node bound with exit code 3; ``conjugacy
 center`` on ``(x t)^2`` over Z/3 (s = 0, no pairs, one letter), which is
-checked in G * Z_k; and a negative ``--digon-syllables`` and
-``--max-syllables``, which are usage errors.
+checked in G * Z_k; a negative ``--digon-syllables`` and
+``--max-syllables``, which are usage errors; and four more usage errors:
+``diagram reduce`` on two disjoint degenerate digons, and one file per
+JSON loader with a field of the wrong type (a presentation, a diagram and
+a group table).
 Each line is ``<sha256>  <name>``, with the exit code after a command's
 name; compare two checkouts' lines with ``diff``.
 """
@@ -142,6 +145,34 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
     return out
 
 
+def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
+    """Write two disjoint copies of the degenerate digon fixture and one
+    file per JSON loader with a field of the wrong type; returns the
+    commands that read them."""
+    def load(path: str):
+        with open(os.path.join(work, path), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    digon = "fixtures/degenerate_digon_z3.json"
+    two, bad_digon = load(digon), load(digon)
+    (face,) = two["faces"]
+    two["faces"].append({"slots": [dict(s, dart=s["dart"] + 2) for s in face["slots"]]})
+    two["pairing"].append([2, 3])
+    two["edge_dir"]["1"] = 3
+    two["exterior"]["vertex_seeds"] += [[1, 0], [1, 1]]
+    bad_digon["faces"][0]["slots"][0]["dart"] = "a"
+    docs = {"disconnected.json": two, "bad_pres.json": dict(load(PRES[0]), s="1"),
+            "bad_diagram.json": bad_digon, "bad_group.json": {"names": 5, "table": []}}
+    for name, doc in docs.items():
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+    return [("reduce-disconnected", ["diagram", "reduce", "--in", "disconnected.json",
+                                     "--pres", PRES[0], "--out", "chain-disconnected"]),
+            ("bad-pres", ["conjugacy", "center", "--pres", "bad_pres.json"]),
+            ("bad-diagram", ["diagram", "validate", "--in", "bad_diagram.json"]),
+            ("bad-group", ["word", "check", "--group", "bad_group.json", "--word", WORD])]
+
+
 def four_face_survivor(work: str) -> str:
     """Write the first survivor (in canonical-form order, as ``search
     enumerate`` lists them) at four faces and two digon syllables over
@@ -184,6 +215,7 @@ def main() -> None:
             commands.append((f"reduce-{name}", ["diagram", "reduce", "--in", infile, "--pres",
                                                 pres, "--out", f"chain-{name}",
                                                 "--trace", f"trace-{name}.json"]))
+        commands += bad_inputs(work)
         for name, argv in commands:
             run = subprocess.run([sys.executable, "-m", "relpres.cli", *argv], cwd=work,
                                  env=env, capture_output=True, check=False)
@@ -191,6 +223,9 @@ def main() -> None:
             written = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--trace")]
             for path in written:
                 full = os.path.join(work, path)
+                if not os.path.exists(full):
+                    print(f"{'-' * 64}  {name}:{path} absent")
+                    continue
                 files = ([os.path.join(path, f) for f in sorted(os.listdir(full))]
                          if os.path.isdir(full) else [path])
                 for rel in files:

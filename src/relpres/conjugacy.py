@@ -56,17 +56,6 @@ class ReductionOutcome:
         return self.status != "stuck"
 
 
-def _letters_of(u: TWord):
-    """Flatten to single letters: FPWord segments and +-1 t-signs."""
-    out = []
-    for i, seg in enumerate(u.segments):
-        if not seg.is_identity():
-            out.append(seg)
-        if i < len(u.signs):
-            out.append(u.signs[i])
-    return out
-
-
 def prefix_trace(u: TWord, h: FPWord) -> ReductionOutcome:
     """Conjugate h through u one letter at a time.
 
@@ -79,8 +68,7 @@ def prefix_trace(u: TWord, h: FPWord) -> ReductionOutcome:
         raise ValueError("trace a nontrivial element")
     current = h
     trace: list[FPWord] = []
-    letters = _letters_of(u.free_reduce())
-    for pos, letter in enumerate(letters):
+    for pos, letter in enumerate(u.free_reduce().items()):
         if isinstance(letter, FPWord):
             current = current.conj(letter)
         else:
@@ -178,13 +166,13 @@ class FreeProductModel:
             raise ValueError("model words live over the base group")
         letters: list[tuple[int, int]] = []
         g_inv = self.group.inv(self.g)
-        for i, seg in enumerate(w.segments):
-            letters.extend(seg.letters)
-            if i < len(w.signs):
-                if w.signs[i] == 1:
-                    letters.extend([(0, g_inv), (1, 1)])
-                else:
-                    letters.extend([(1, self.k - 1), (0, self.g)])
+        for item in w.items():
+            if isinstance(item, FPWord):
+                letters.extend(item.letters)
+            elif item == 1:
+                letters.extend([(0, g_inv), (1, 1)])
+            else:
+                letters.extend([(1, self.k - 1), (0, self.g)])
         return normal_form(self.factors, letters)
 
     def in_base_group(self, a: Letters) -> bool:

@@ -20,11 +20,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freeprod import FPWord, FreeProduct
-from .groups import GroupTable
+from .groups import GroupTable, json_field
 from . import maps
 from .maps import CornerRef
 from .presentation import RelPresentation
-from .words import TWord, cyclic_equal, from_items, word_str, parse_h_word
+from .words import TWord, cyclic_key, from_items, parse_h_word, syllables, word_str
 
 WeightAssignment = Mapping[CornerRef, Fraction]
 
@@ -132,6 +132,15 @@ class FaceRecord:
             self._class = classify_label(self.ambient, pres, self.label())
             self._pres = pres
         return self._class
+
+
+def _int_pairs(data: dict, name: str, *default) -> list[tuple[int, int]]:
+    """Field ``name`` of ``data``, a list of two-integer lists, as tuples."""
+    pairs = json_field(data, name, list, DiagramError, *default)
+    if any(type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int
+           for p in pairs):
+        raise DiagramError(f"field {name!r} must hold pairs of integers")
+    return [tuple(p) for p in pairs]
 
 
 class Diagram:
@@ -373,37 +382,48 @@ class Diagram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Diagram":
-        amb_data = data["ambient"]
-        group = GroupTable(amb_data["names"], amb_data["table"])
-        ambient = FreeProduct(group, amb_data["s"])
+        amb_data = json_field(data, "ambient", dict, DiagramError)
+        group = GroupTable.from_dict(amb_data)
+        ambient = FreeProduct(group, json_field(amb_data, "s", int, DiagramError))
         parsed = {"": ambient.one()}        # corner texts repeat; words are immutable
         faces = []
-        for f in data["faces"]:
+        for f in json_field(data, "faces", list, DiagramError):
             slots = []
-            for s in f["slots"]:
-                text = s.get("corner", "")
+            for s in json_field(f, "slots", list, DiagramError):
+                if type(s) is not dict:
+                    raise DiagramError("field 'slots' must hold objects")
+                text, dart = s.get("corner", ""), s.get("dart")
+                if type(text) is not str or type(dart) is not int:
+                    raise DiagramError("a slot needs an integer 'dart' and a string 'corner'")
                 corner = parsed.get(text)
                 if corner is None:
                     corner = parsed[text] = parse_h_word(text, ambient)
-                slots.append(Slot(s["dart"], corner))
+                slots.append(Slot(dart, corner))
             faces.append(slots)
         pairing = {}
-        edge_list = [tuple(e) for e in data["pairing"]]
+        edge_list = _int_pairs(data, "pairing")
         for d1, d2 in edge_list:
             pairing[d1] = d2
             pairing[d2] = d1
         arrow_darts = []
         order = sorted((min(e), max(e)) for e in edge_list)
-        for key, dart in data.get("edge_dir", {}).items():
+        for key, dart in json_field(data, "edge_dir", dict, DiagramError, {}).items():
             ei = int(key)
             if not (0 <= ei < len(order)) or dart not in order[ei]:
                 raise DiagramError(f"orientation conflict in edge_dir entry {key}")
             arrow_darts.append(dart)
-        edge_labels = {frozenset(order[int(k)]): v
-                       for k, v in data.get("edge_labels", {}).items()}
-        ext = data.get("exterior", {})
+        edge_labels = {}
+        for key, label in json_field(data, "edge_labels", dict, DiagramError, {}).items():
+            ei = int(key)
+            if not 0 <= ei < len(order):
+                raise DiagramError(f"edge_labels entry {key} names no edge")
+            edge_labels[frozenset(order[ei])] = label
+        ext = json_field(data, "exterior", dict, DiagramError, {})
+        ext_faces = json_field(ext, "faces", list, DiagramError, [])
+        if any(type(f) is not int for f in ext_faces):
+            raise DiagramError("field 'faces' of 'exterior' must hold integers")
         return cls(ambient, faces, pairing, arrow_darts, edge_labels,
-                   ext.get("faces", ()), [tuple(s) for s in ext.get("vertex_seeds", ())])
+                   ext_faces, _int_pairs(ext, "vertex_seeds", []))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -657,25 +677,18 @@ def classify_label(ambient: FreeProduct, pres: RelPresentation, label: TWord) ->
         digon = _match_digon(ambient, red)
         if digon is not None:
             return FaceClass("digon", digon_word=digon)
-    relator = pres.relator()
-    if cyclic_equal(red, relator) or cyclic_equal(red, relator.inv()):
+    if cyclic_key(red) in pres.relator_keys:
         return FaceClass("large")
     return FaceClass("invalid", reason=f"label {word_str(label)} matches no relator")
 
 
 def _match_digon(ambient: FreeProduct, red: TWord) -> FPWord | None:
     """Match t^-1 p t (p^shift)^-1 for nontrivial bottom-slice p, in either
-    rotation of the cyclic 2-t-letter word."""
-    seam = red.segments[-1] * red.segments[0]
-    segs = [red.segments[1], seam]
-    signs = list(red.signs)
-    for r in range(2):
-        first, second = signs[r % 2], signs[(r + 1) % 2]
-        p, q = segs[r % 2], segs[(r + 1) % 2]
-        if first == -1 and second == 1:
-            if p and p.in_bottom() and q == p.shift(1).inv():
-                return p
-    return None
+    rotation of the cyclic word with one t^-1 and one t."""
+    signs, after = syllables(red)
+    r = signs.index(-1)
+    p, q = after[r], after[1 - r]
+    return p if p and p.in_bottom() and q == p.shift(1).inv() else None
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,32 @@ class GroupTableError(ValueError):
     pass
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+_REQUIRED = object()
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def json_field(data, name: str, kind: type, error: type[ValueError], default=_REQUIRED):
+    """``data[name]`` of a JSON document, checked to be of type ``kind``
+    (a boolean is never an integer).  Raises ``error`` naming the field
+    when ``data`` is not an object, when the field is missing and has no
+    default, or when its value has another type."""
+    if not isinstance(data, dict):
+        raise error(f"expected an object with field {name!r}, got {_json_type(data)}")
+    if name not in data:
+        if default is _REQUIRED:
+            raise error(f"missing field {name!r}")
+        return default
+    value = data[name]
+    if type(value) is not kind:
+        raise error(f"field {name!r} must be {_JSON_TYPES[kind]}, got {_json_type(value)}")
+    return value
+
+
 class GroupTable:
     """A finite group: element names plus an order x order product table.
 
@@ -145,11 +171,21 @@ class GroupTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupTable":
-        names = data["names"]
-        table = data["table"]
-        if table and isinstance(table[0][0], str):
+        """The group of a JSON object with a list of element names and a
+        table of element indices or names."""
+        names = json_field(data, "names", list, GroupTableError)
+        table = json_field(data, "table", list, GroupTableError)
+        if any(type(n) is not str for n in names):
+            raise GroupTableError("field 'names' must hold strings")
+        if any(type(row) is not list for row in table):
+            raise GroupTableError("field 'table' must hold lists")
+        if table and table[0] and type(table[0][0]) is str:
             idx = {n: i for i, n in enumerate(names)}
+            if any(type(v) is not str or v not in idx for row in table for v in row):
+                raise GroupTableError("field 'table' holds an unknown element name")
             table = [[idx[v] for v in row] for row in table]
+        elif any(type(v) is not int for row in table for v in row):
+            raise GroupTableError("field 'table' must hold integers or element names")
         return cls(names, table)
 
     @classmethod

@@ -599,6 +599,15 @@ def _apply(d: Diagram, pres: RelPresentation, move: str, darts: tuple[int, ...] 
     return move, (builder.to_diagram(),), None
 
 
+def _check_input(diagram: Diagram, pres: RelPresentation) -> None:
+    """Raise unless the diagram lives over the presentation's ambient and
+    is connected: the moves reduce one surface, and a disjoint union would
+    come back as a single-diagram chain."""
+    check_ambient(diagram, pres)
+    if not diagram.is_connected():
+        raise MoveError("the diagram is not connected")
+
+
 def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
                     step_factor: int = 8) -> tuple[DiagramChain, MoveTrace]:
     """Drive a spherical diagram to a chain of clean diagrams: pull
@@ -611,7 +620,7 @@ def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
     Deterministic: each step applies ``_next_move`` to the first chain
     diagram that is not yet clean and records one trace entry.
     """
-    check_ambient(diagram, pres)
+    _check_input(diagram, pres)
     bound = step_factor * (len(diagram.faces) + len(diagram.edges) + 2)
     chain: list[Diagram] = [diagram]
     entries: list[TraceEntry] = []
@@ -645,7 +654,7 @@ def replay_trace(diagram: Diagram, pres: RelPresentation, trace: MoveTrace
     """Re-apply a recorded move sequence, checking every move name, split
     link and hash.  An entry that does not fit the chain raises
     ``MoveError``."""
-    check_ambient(diagram, pres)
+    _check_input(diagram, pres)
     chain: list[Diagram] = [diagram]
     for entry in trace.entries:
         idx = next((i for i, d in enumerate(chain) if _hash(d) == entry.before), None)

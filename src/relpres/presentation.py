@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .freeprod import FPWord, FreeProduct
-from .groups import GroupTable
-from .words import TWord, from_items, is_cyclically_reduced, is_unimodular
+from .groups import GroupTable, json_field
+from .words import (TWord, cyclic_key, from_items, is_cyclically_reduced, is_unimodular,
+                    syllables)
 
 
 class RewriteError(ValueError):
@@ -66,6 +67,13 @@ class RelPresentation:
     def _relator(self) -> TWord:
         return self.inner_word().pow(self.k).free_reduce()
 
+    @cached_property
+    def relator_keys(self) -> tuple[tuple, tuple]:
+        """The cyclic keys of the relator and of its inverse: a face label
+        reads a relator exactly when its key is one of them."""
+        rel = self.relator()
+        return cyclic_key(rel.cyclic_free_reduce()), cyclic_key(rel.inv().cyclic_free_reduce())
+
     def digon_alphabet(self, max_syllables: int = 1) -> list[FPWord]:
         """Nontrivial bottom-slice words up to a syllable bound."""
         amb = self.ambient
@@ -87,14 +95,21 @@ class RelPresentation:
     @classmethod
     def from_dict(cls, data: dict) -> "RelPresentation":
         from .words import parse_h_word
-        group = GroupTable.from_dict(data["group"])
-        ambient = FreeProduct(group, data["s"])
+        group = GroupTable.from_dict(json_field(data, "group", dict, RewriteError))
+        s = json_field(data, "s", int, RewriteError)
+        k = json_field(data, "k", int, RewriteError)
+        c = json_field(data, "c", str, RewriteError)
+        pairs = json_field(data, "pairs", list, RewriteError)
+        if any(type(p) is not list or len(p) != 2 or any(type(w) is not str for w in p)
+               for p in pairs):
+            raise RewriteError("field 'pairs' must hold [b, a] pairs of strings")
+        ambient = FreeProduct(group, s)
 
         def word(text: str) -> FPWord:
             return parse_h_word(text, ambient) if text else ambient.one()
 
-        return cls(group=group, s=data["s"], k=data["k"], c=word(data["c"]),
-                   pairs=tuple((word(b), word(a)) for b, a in data["pairs"]))
+        return cls(group=group, s=s, k=k, c=word(c),
+                   pairs=tuple((word(b), word(a)) for b, a in pairs))
 
     @classmethod
     def from_file(cls, path: str) -> "RelPresentation":
@@ -165,10 +180,7 @@ def initial_rewrite(group: GroupTable, w: TWord, k: int) -> RelPresentation:
         raise RewriteError(
             "single t-letter word: the group is a free product with a "
             "finite cyclic factor; use the free-product model instead")
-    # fold a nontrivial trailing segment into the front (cyclic conjugate)
-    if not w.segments[-1].is_identity():
-        segs = (w.segments[-1] * w.segments[0],) + w.segments[1:-1] + (w.ambient.one(),)
-        w = TWord(w.ambient, segs, w.signs)
+    w = w.cyclic_free_reduce()    # the seam first, a trivial last segment
     heights = list(itertools.accumulate((0,) + w.signs[:-1]))  # height before g_i
     delta = max(heights)
     exponents = [delta - h for h in heights]
@@ -214,8 +226,7 @@ def extract_pattern(w: TWord) -> tuple[FPWord, tuple[tuple[FPWord, FPWord], ...]
     if w2.exponent_sum() != 1:
         return None
     n = w2.t_count
-    signs = list(w2.signs)
-    after = list(w2.segments[1:-1]) + [w2.segments[-1] * w2.segments[0]]
+    signs, after = syllables(w2)
     if n == 1:
         if signs[0] != 1:
             return None
@@ -417,11 +428,12 @@ def back_substitute(pres: RelPresentation) -> TWord:
     base = FreeProduct(pres.group, 0)
     relator = pres.relator()
     items: list = []
-    for idx, seg in enumerate(relator.segments):
-        for copy, element in seg.letters:
+    for item in relator.items():
+        if not isinstance(item, FPWord):
+            items.append(item)
+            continue
+        for copy, element in item.letters:
             items.extend([-1] * copy)
             items.append(FPWord(base, ((0, element),)))
             items.extend([1] * copy)
-        if idx < len(relator.signs):
-            items.append(relator.signs[idx])
     return from_items(base, items).free_reduce()

@@ -70,6 +70,7 @@ from .diagram import (Diagram, DiagramError, FaceRecord, Slot, curvature_weights
                       is_phi_reduced, validate_howie)
 from .freeprod import FPWord, Letters, seam_product
 from .presentation import RelPresentation, RewriteError
+from .words import syllables
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -108,13 +109,8 @@ def face_templates(config: EnumerationConfig) -> list[FaceTemplate]:
     rel = pres.relator()
     if not rel.segments[-1].is_identity():
         raise RewriteError("relator does not end with a t-letter")
-    plus = FaceTemplate("relator+", rel.signs,
-                        tuple(rel.segments[1:-1]) + (rel.segments[0],))
-    inv = rel.inv()
-    inv_signs = inv.signs
-    minus = FaceTemplate("relator-", inv_signs,
-                         tuple(inv.segments[1:-1]) + (inv.segments[-1] * inv.segments[0],))
-    out = [plus, minus]
+    out = [FaceTemplate("relator+", *syllables(rel)),
+           FaceTemplate("relator-", *syllables(rel.inv()))]
     for p in pres.digon_alphabet(config.digon_syllables):
         out.append(FaceTemplate("digon", (-1, 1), (p, p.shift(1).inv()), word=p))
     return out

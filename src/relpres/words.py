@@ -1,8 +1,19 @@
 """Words over H * <t>: alternating H-segments and signed t-letters.
 
-A TWord with n t-letters stores n+1 H-segments, so every prefix is
-well defined letter by letter even when segments are trivial.  The word
-grammar accepted by parse_word:
+Layout.  A TWord with n t-letters stores n+1 H-segments and n signs,
+h_0 t^{e_0} h_1 ... t^{e_(n-1)} h_n, so every prefix is well defined
+letter by letter even when segments are trivial.  ``TWord.items`` walks
+them in word order.  Read cyclically (``syllables``), sign i is followed
+by the segment ``after[i]``: ``h_(i+1)`` for i < n-1, and for the last
+sign the seam ``h_n * h_0``, where the word's end meets its start.
+``cyclic_free_reduce`` writes its result with a trivial last segment, so
+that its first segment is the seam.  Conjugating by an element of H
+changes only how the seam is split between h_n and h_0, and conjugating
+by t rotates the (sign, after) sequence; so its least rotation, the
+``cyclic_key``, decides whether two cyclically reduced words with
+t-letters are conjugate.
+
+Grammar.  The word grammar accepted by parse_word:
 
     token   = name | name@copy | t | t^-1 | '(' word ')' '^' int
     word    = token*            (whitespace separated)
@@ -15,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .freeprod import FPWord, FreeProduct
+from .freeprod import FPWord, FreeProduct, conjugate_in_free_product
 
 
 class WordParseError(ValueError):
@@ -26,7 +37,7 @@ class WordParseError(ValueError):
 
 @dataclass(frozen=True)
 class TWord:
-    """h_0 t^{e_1} h_1 ... t^{e_n} h_n with segments h_i in H."""
+    """h_0 t^{e_0} h_1 ... t^{e_(n-1)} h_n with segments h_i in H."""
     ambient: FreeProduct
     segments: tuple[FPWord, ...]
     signs: tuple[int, ...]
@@ -53,6 +64,17 @@ class TWord:
         if not self.is_h_word():
             raise ValueError("word contains t-letters")
         return self.segments[0]
+
+    def items(self) -> list:
+        """The nontrivial segments and the t-signs in word order, the
+        inverse of ``from_items``: ``from_items(w.ambient, w.items()) == w``."""
+        segs = self.segments
+        out: list = [segs[0]] if segs[0] else []
+        for e, h in zip(self.signs, segs[1:]):
+            out.append(e)
+            if h:
+                out.append(h)
+        return out
 
     def __mul__(self, other: "TWord") -> "TWord":
         if self.ambient != other.ambient:
@@ -99,36 +121,20 @@ class TWord:
         """Reduce all t-cancellations in the cyclic word.
 
         Returns an FPWord (the cyclically reduced H-core) when every
-        t-letter cancels, otherwise a TWord with an empty trailing segment
-        whose cyclic form admits no further cancellation.
+        t-letter cancels, otherwise a TWord with a trivial last segment
+        whose cyclic form admits no further cancellation.  The linear
+        word is freely reduced first, so only the seam can cancel, and
+        each cancellation there makes a new seam.
         """
         w = self.free_reduce()
         if w.t_count == 0:
-            core, _ = w.segments[0].cyclic_reduce()
-            return core
-        # cyclic data: sign[i] is followed by seg_after[i]; seg_after[n-1]
-        # is the seam merging the trailing and leading linear segments.
-        signs = list(w.signs)
-        seg_after = list(w.segments[1:-1]) + [w.segments[-1] * w.segments[0]]
-        while signs:
-            n = len(signs)
-            hit = next((i for i in range(n)
-                        if signs[i] == -signs[(i + 1) % n] and seg_after[i].is_identity()), None)
-            if hit is None:
-                break
-            i, j = hit, (hit + 1) % len(signs)
+            return w.segments[0].cyclic_reduce()[0]
+        signs, after = syllables(w)
+        while signs[-1] == -signs[0] and after[-1].is_identity():
             if len(signs) == 2:
-                rest = seg_after[j]
-                core, _ = rest.cyclic_reduce()
-                return core
-            seg_after[(i - 1) % n] = seg_after[(i - 1) % n] * seg_after[j]
-            for k in sorted((i, j), reverse=True):
-                del signs[k]
-                del seg_after[k]
-        # linearize starting after the last sign: leading segment is the seam
-        return TWord(self.ambient,
-                     (seg_after[-1],) + tuple(seg_after[:-1]) + (self.ambient.one(),),
-                     tuple(signs))
+                return after[0].cyclic_reduce()[0]
+            signs, after = signs[1:-1], after[1:-2] + (after[-2] * after[0],)
+        return TWord(self.ambient, (after[-1],) + after[:-1] + (self.ambient.one(),), signs)
 
 
 def h_word(h: FPWord) -> TWord:
@@ -137,6 +143,26 @@ def h_word(h: FPWord) -> TWord:
 
 def t_letter(ambient: FreeProduct, sign: int = 1) -> TWord:
     return TWord(ambient, (ambient.one(), ambient.one()), (sign,))
+
+
+def syllables(w: TWord) -> tuple[tuple[int, ...], tuple[FPWord, ...]]:
+    """The cyclic view of a word with t-letters: its signs, and per sign
+    the H-segment that follows it cyclically, the last one being the seam
+    ``segments[-1] * segments[0]``.  The word is read as it is, not
+    reduced."""
+    segs = w.segments
+    if len(segs) < 2:
+        raise ValueError("a t-free word has no syllables")
+    return w.signs, segs[1:-1] + (segs[-1] * segs[0],)
+
+
+def cyclic_key(w: TWord) -> tuple:
+    """The least rotation of the (sign, following segment's letters)
+    sequence of a cyclically reduced word with t-letters; two such words
+    are conjugate in H * <t> exactly when their keys are equal."""
+    signs, after = syllables(w)
+    seq = tuple(zip(signs, [h.letters for h in after]))
+    return min(seq[r:] + seq[:r] for r in range(len(seq)))
 
 
 def from_items(ambient: FreeProduct, items) -> TWord:
@@ -176,49 +202,20 @@ def is_cyclically_reduced(w: TWord) -> bool:
     w = w.free_reduce()
     if w.t_count == 0:
         return True
-    seam = w.segments[-1] * w.segments[0]
-    return not (w.signs[-1] == -w.signs[0] and seam.is_identity())
-
-
-def cyclic_rotations(w: TWord) -> list[TWord]:
-    """All rotations of the cyclic word at t-letter boundaries.
-
-    Each rotation starts with an (possibly trivial) H-segment and ends
-    with a t-letter; the seam segment merges trailing and leading parts.
-    """
-    w = w.free_reduce()
-    if w.t_count == 0:
-        return [w]
-    seam = w.segments[-1] * w.segments[0]
-    segs = [seam] + list(w.segments[1:-1])
-    signs = list(w.signs)
-    n = len(signs)
-    out = []
-    for r in range(n):
-        rs = [segs[(r + i) % n] for i in range(n)]
-        re_ = [signs[(r + i) % n] for i in range(n)]
-        out.append(TWord(w.ambient, tuple(rs) + (w.ambient.one(),), tuple(re_)))
-    return out
+    signs, after = syllables(w)
+    return not (signs[-1] == -signs[0] and after[-1].is_identity())
 
 
 def cyclic_equal(a: TWord, b: TWord) -> bool:
-    """Equality of cyclic words: cyclically reduce, then compare rotations."""
+    """Equality of cyclic words, i.e. conjugacy in H * <t>: cyclically
+    reduce, then compare cyclic keys, or test t-free cores for conjugacy
+    in H."""
     ar = a.cyclic_free_reduce()
     br = b.cyclic_free_reduce()
-    if isinstance(ar, FPWord) != isinstance(br, FPWord):
-        return False
-    if isinstance(ar, FPWord):
-        from .freeprod import conjugate_in_free_product
-        return conjugate_in_free_product(ar, br)
-    if ar.t_count != br.t_count:
-        return False
-    target = _cyclic_key(br)
-    return any(_cyclic_key(r) == target for r in cyclic_rotations(ar))
-
-
-def _cyclic_key(w: TWord):
-    seam = w.segments[-1] * w.segments[0]
-    return (tuple(w.signs), (seam.letters,) + tuple(h.letters for h in w.segments[1:-1]))
+    if isinstance(ar, FPWord) or isinstance(br, FPWord):
+        return (isinstance(ar, FPWord) and isinstance(br, FPWord)
+                and conjugate_in_free_product(ar, br))
+    return ar.t_count == br.t_count and cyclic_key(ar) == cyclic_key(br)
 
 
 # -- parsing -----------------------------------------------------------
@@ -306,9 +303,9 @@ def parse_h_word(text: str, ambient: FreeProduct) -> FPWord:
 
 def word_str(w: TWord) -> str:
     parts: list[str] = []
-    for i, seg in enumerate(w.segments):
-        if not seg.is_identity():
-            parts.extend(seg.tokens())
-        if i < len(w.signs):
-            parts.append("t" if w.signs[i] == 1 else "t^-1")
+    for item in w.items():
+        if isinstance(item, FPWord):
+            parts.extend(item.tokens())
+        else:
+            parts.append("t" if item == 1 else "t^-1")
     return " ".join(parts) if parts else "1"

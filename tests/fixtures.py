@@ -58,6 +58,15 @@ def degenerate_digon(pres: RelPresentation, p: FPWord) -> Diagram:
                    exterior_vertex_seeds=[(0, 0), (0, 1)])
 
 
+def disjoint_digons(pres: RelPresentation, p: FPWord, q: FPWord) -> Diagram:
+    """Two degenerate digons side by side, one sphere each: a disconnected
+    diagram with four exterior vertices."""
+    return Diagram(pres.ambient, [[Slot(0, p), Slot(1, p.shift(1).inv())],
+                                  [Slot(2, q), Slot(3, q.shift(1).inv())]],
+                   {0: 1, 1: 0, 2: 3, 3: 2}, [1, 3],
+                   exterior_vertex_seeds=[(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
 def theta_digons(pres: RelPresentation, p1: FPWord, p2: FPWord,
                  trivial_exterior_corners: bool = True) -> Diagram:
     """Two digons sharing their middle edge, exterior face outside.

@@ -142,6 +142,19 @@ class TestDiagram:
         assert code == 2
         assert list(doc) == ["error"] and "exterior face" in doc["error"]
 
+    def test_reduce_refuses_a_disconnected_diagram(self, capsys, tmp_path):
+        sys.path.insert(0, os.path.dirname(__file__))
+        from fixtures import disjoint_digons, pres_z3
+        amb = pres_z3(2).ambient
+        dfile = tmp_path / "two.json"
+        dfile.write_text(json.dumps(disjoint_digons(pres_z3(2), amb.from_name("x"),
+                                                    amb.from_name("y")).to_dict()))
+        code, doc = run(capsys, "diagram", "reduce", "--in", str(dfile),
+                        "--pres", fixture("pres_z3_k2.json"), "--out", str(tmp_path / "chain"))
+        assert code == 2
+        assert doc == {"error": "the diagram is not connected"}
+        assert not (tmp_path / "chain").exists()
+
     def test_reduce_over_step_bound_is_resource(self, capsys, tmp_path, monkeypatch):
         import functools
         from relpres import cli
@@ -255,6 +268,71 @@ class TestBadPresentation:
         code, doc = run(capsys, *command, "--pres", str(path))
         assert code == 2
         assert "k must be" in doc["error"] and "result" not in doc
+
+
+def _set(path, value=None):
+    """A change of a JSON document: the value at a dotted path (list
+    indices as digits) set, or deleted when ``value`` is None."""
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+
+    def change(doc):
+        node = doc
+        for key in keys:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        return doc
+    return change
+
+
+def _malformed(capsys, tmp_path, fixture_name, change, *argv):
+    """Run a command on a changed copy of a fixture, which ``argv`` names
+    as ``FILE``; returns the error document."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(change(json.load(open(fixture(fixture_name))))))
+    code, doc = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and list(doc) == ["error"]
+    return doc["error"]
+
+
+class TestMalformedJson:
+    """A field of the wrong JSON type, or a missing one, is a usage error
+    that names the field, for each of the three loaders."""
+
+    @pytest.mark.parametrize("change, field", [
+        (_set("s", "1"), "'s'"), (_set("pairs", 5), "'pairs'"),
+        (_set("c", 5), "'c'"), (lambda doc: [doc], "'group'"),
+        (_set("pairs", [["x"]]), "'pairs'"), (_set("group"), "'group'")],
+        ids=["s-string", "pairs-int", "c-int", "list", "short-pair", "no-group"])
+    def test_presentation(self, capsys, tmp_path, change, field):
+        error = _malformed(capsys, tmp_path, "pres_z3_k2.json", change,
+                           "conjugacy", "center", "--pres", "FILE")
+        assert field in error
+
+    @pytest.mark.parametrize("change, field", [
+        (_set("faces", 5), "'faces'"), (_set("faces.0.slots.0.dart", "a"), "'dart'"),
+        (_set("ambient.s", "1"), "'s'"), (lambda doc: [doc], "'ambient'"),
+        (_set("pairing", [[0]]), "'pairing'"),
+        (_set("edge_labels", []), "'edge_labels'"),
+        (_set("edge_labels", {"5": "1"}), "edge_labels")],
+        ids=["faces-int", "dart-string", "s-string", "list", "short-edge", "labels-list",
+             "label-off-range"])
+    def test_diagram(self, capsys, tmp_path, change, field):
+        error = _malformed(capsys, tmp_path, "degenerate_digon_z3.json", change,
+                           "diagram", "validate", "--in", "FILE")
+        assert field in error
+
+    @pytest.mark.parametrize("change, field", [
+        (_set("names", 5), "'names'"), (_set("table", [[0, 1, "q"]]), "'table'"),
+        (lambda doc: [doc], "'names'"), (_set("table"), "'table'"),
+        (_set("names", ["e", 1, "y"]), "'names'")],
+        ids=["names-int", "mixed-table", "list", "no-table", "int-name"])
+    def test_group(self, capsys, tmp_path, change, field):
+        error = _malformed(capsys, tmp_path, "z3.json", change,
+                           "word", "check", "--group", "FILE", "--word", "x t")
+        assert field in error
 
 
 class TestDeterminism:

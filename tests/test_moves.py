@@ -8,7 +8,8 @@ from relpres.freeprod import FreeProduct, conjugate_in_free_product
 from relpres.moves import (MoveError, MoveTrace, MutableDiagram, ReductionBoundExceeded,
                            fill_hole, glue_cyclic_copies, merge_digons, merge_faces_along,
                            pull_identity_edge, reduce_to_chain, replay_trace, thicken)
-from fixtures import (Z3, degenerate_digon, digon_chain, dumbbell, looped_pinch_pair,
+from fixtures import (Z3, degenerate_digon, digon_chain, disjoint_digons, dumbbell,
+                      looped_pinch_pair,
                       loop_split_sphere, mirror_large_pair, path_sphere,
                       pinch_pair, pres_z2, pres_z3, theta_digons, tripod)
 
@@ -348,6 +349,14 @@ class TestReduceToChain:
         assert [(e.move, e.edge_darts) for e in trace.entries] == [(move, (8, 9))]
         assert [x.canonical_form() for x in chain.diagrams] == \
                [pinch_pair(PRES, X, Y).canonical_form()]
+
+    def test_disconnected_input_is_refused(self):
+        d = disjoint_digons(PRES, X, Y)
+        assert not d.is_connected() and len(d.exterior_vertices) == 4
+        with pytest.raises(MoveError, match="not connected"):
+            reduce_to_chain(d, PRES)
+        with pytest.raises(MoveError, match="not connected"):
+            replay_trace(d, PRES, MoveTrace(()))
 
     def test_replay_refuses_a_diagram_over_another_ambient(self):
         with pytest.raises(DiagramError, match="different ambients"):

@@ -1,15 +1,20 @@
+import json
+import os
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from relpres.freeprod import FPWord, FreeProduct
-from relpres.words import (TWord, WordParseError, cyclic_equal, cyclic_rotations,
+from relpres.freeprod import FPWord, FreeProduct, conjugate_in_free_product
+from relpres.presentation import (_substitute_top_copy, extract_pattern, initial_rewrite,
+                                  minimize)
+from relpres.search import EnumerationConfig, face_templates
+from relpres.words import (TWord, WordParseError, cyclic_equal, cyclic_key,
                            from_items, h_word, is_cyclically_reduced,
-                           is_unimodular, parse_h_word, parse_word,
+                           is_unimodular, parse_h_word, parse_word, syllables,
                            t_exponent_residue, t_letter, word_str)
 
-from fixtures import Z3
+from fixtures import S3, Z3, pres_s3, pres_z3
 
 BASE = FreeProduct(Z3, 0)
 H1 = FreeProduct(Z3, 1)
@@ -93,7 +98,7 @@ class TestReduction:
 
     def test_rotations_are_cyclic_equal(self):
         w = tword("x t y t^-1 x t")
-        for r in cyclic_rotations(w):
+        for r in reference_rotations(w):
             assert cyclic_equal(w, r)
 
     def test_cyclic_not_equal(self):
@@ -237,3 +242,184 @@ class TestResidue:
                 power = w.pow(k) if rng.random() < 0.5 else w.pow(-k)
                 word = word * v.inv() * power * v
             assert t_exponent_residue(word.free_reduce(), k) == 0
+
+
+# -- the cyclic key against rotations ---------------------------------------
+
+
+def reference_rotations(w: TWord) -> list[TWord]:
+    """Every rotation of the freely reduced word at a t-letter, as a
+    TWord whose first segment is the seam and whose last is trivial."""
+    w = w.free_reduce()
+    if w.t_count == 0:
+        return [w]
+    segs = [w.segments[-1] * w.segments[0]] + list(w.segments[1:-1])
+    n = len(w.signs)
+    return [TWord(w.ambient, tuple(segs[(r + i) % n] for i in range(n)) + (w.ambient.one(),),
+                  tuple(w.signs[(r + i) % n] for i in range(n)))
+            for r in range(n)]
+
+
+def reference_key(w: TWord) -> tuple:
+    seam = w.segments[-1] * w.segments[0]
+    return w.signs, (seam.letters,) + tuple(h.letters for h in w.segments[1:-1])
+
+
+def reference_cyclic_equal(a: TWord, b: TWord) -> bool:
+    """Cyclic equality by building every rotation of one cyclic reduction
+    and comparing it with the other, seam first."""
+    ar, br = a.cyclic_free_reduce(), b.cyclic_free_reduce()
+    if isinstance(ar, FPWord) != isinstance(br, FPWord):
+        return False
+    if isinstance(ar, FPWord):
+        return conjugate_in_free_product(ar, br)
+    if ar.t_count != br.t_count:
+        return False
+    target = reference_key(br)
+    return any(reference_key(r) == target for r in reference_rotations(ar))
+
+
+AMBIENTS = [FreeProduct(g, s) for g in (Z3, S3) for s in (0, 1, 2)]
+
+
+@st.composite
+def h_words(draw, ambient, max_letters=2):
+    letters = draw(st.lists(st.tuples(st.integers(0, ambient.s),
+                                      st.integers(0, ambient.group.order - 1)),
+                            max_size=max_letters))
+    return ambient.word(letters)
+
+
+@st.composite
+def t_words(draw, ambient, max_t=4):
+    signs = draw(st.lists(st.sampled_from((1, -1)), max_size=max_t))
+    items: list = [draw(h_words(ambient))]
+    for e in signs:
+        items += [e, draw(h_words(ambient))]
+    return from_items(ambient, items)
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """(a, b, conjugate): b is a conjugate of a, by a word with t-letters
+    or by an H-word, or of a with one letter multiplied in."""
+    amb = draw(st.sampled_from(AMBIENTS))
+    a = draw(t_words(amb))
+    u = draw(st.one_of(t_words(amb), h_words(amb).map(h_word)))
+    changed = draw(st.booleans())
+    if changed:
+        cut = draw(st.integers(0, len(a.segments) - 1))
+        extra = draw(h_words(amb, max_letters=1))
+        segs = list(a.segments)
+        segs[cut] = segs[cut] * extra
+        a2 = TWord(amb, tuple(segs), a.signs)
+    else:
+        a2 = a
+    return a, u.inv() * a2 * u, not changed
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Words u h u^-1 whose t-letters all cancel, h a single letter or
+    any H-word."""
+    amb = draw(st.sampled_from(AMBIENTS))
+    words = []
+    for _ in range(2):
+        u = draw(t_words(amb))
+        h = draw(st.one_of(h_words(amb, max_letters=1), h_words(amb)))
+        words.append(u * h_word(h) * u.inv())
+    return tuple(words)
+
+
+class TestCyclicKey:
+    """``cyclic_equal`` by one key per word against the rotations."""
+
+    @settings(max_examples=100)
+    @given(conjugate_pairs())
+    def test_conjugates(self, pair):
+        a, b, conjugate = pair
+        assert cyclic_equal(a, b) == reference_cyclic_equal(a, b)
+        if conjugate:
+            assert cyclic_equal(a, b)
+
+    @given(cancelling_pairs())
+    def test_full_cancellation(self, pair):
+        a, b = pair
+        assert isinstance(a.cyclic_free_reduce(), FPWord)
+        assert cyclic_equal(a, b) == reference_cyclic_equal(a, b)
+
+    @given(st.sampled_from(AMBIENTS).flatmap(lambda amb: st.tuples(t_words(amb), t_words(amb))))
+    def test_independent_words(self, pair):
+        a, b = pair
+        assert cyclic_equal(a, b) == reference_cyclic_equal(a, b)
+
+    def test_single_letter_cores(self):
+        x, y = BASE.from_name("x"), BASE.from_name("y")
+        for u in (tword("t"), tword("x t^-1 y t t"), h_word(y)):
+            w = u * h_word(x) * u.inv()
+            assert cyclic_equal(w, h_word(x)) and reference_cyclic_equal(w, h_word(x))
+            assert not cyclic_equal(w, h_word(y))
+            assert not cyclic_equal(w, tword("x t t^-1 t"))
+
+    def test_key_is_rotation_invariant(self):
+        w = tword("x t y t^-1 x t t").cyclic_free_reduce()
+        assert {cyclic_key(r) for r in reference_rotations(w)} == {cyclic_key(w)}
+
+
+# -- the syllable view at each site that read the layout by hand ----------------
+
+CORPUS = json.load(open(os.path.join(os.path.dirname(__file__), "data",
+                                     "rewrite_corpus.json")))["words"]
+
+
+def hand_after(w: TWord) -> tuple:
+    """The segments after each sign, written out with the seam last."""
+    return tuple(w.segments[1:-1]) + (w.segments[-1] * w.segments[0],)
+
+
+def hand_fold(w: TWord) -> TWord:
+    """A nontrivial last segment moved into the first."""
+    if w.segments[-1].is_identity():
+        return w
+    segs = (w.segments[-1] * w.segments[0],) + w.segments[1:-1] + (w.ambient.one(),)
+    return TWord(w.ambient, segs, w.signs)
+
+
+class TestSyllables:
+    def test_items_inverts_from_items(self):
+        for text in ("x t y t^-1 x t", "t t x", "x", "t^-1", ""):
+            w = tword(text)
+            assert from_items(BASE, w.items()) == w
+            assert not any(isinstance(i, FPWord) and i.is_identity() for i in w.items())
+
+    def test_t_free_word_has_none(self):
+        with pytest.raises(ValueError):
+            syllables(tword("x y"))
+
+    @pytest.mark.parametrize("pres", [pres_z3(2), pres_s3(2), pres_z3(3)],
+                             ids=["z3-k2", "s3-k2", "z3-k3"])
+    def test_relator_corners(self, pres):
+        rel, inv = pres.relator(), pres.relator().inv()
+        plus, minus = face_templates(EnumerationConfig(pres))[:2]
+        assert (plus.signs, plus.corners) == (rel.signs, rel.segments[1:-1] + (rel.segments[0],))
+        assert (minus.signs, minus.corners) == (inv.signs, hand_after(inv))
+
+    def test_corpus_patterns_and_folds(self):
+        for text in CORPUS:
+            w = parse_word(text, BASE)
+            assert hand_fold(w.free_reduce()) == w.cyclic_free_reduce(), text
+            for k in (2, 3):
+                p0 = initial_rewrite(Z3, w, k)
+                for p in (p0, minimize(p0)):
+                    if p.s == 0:
+                        continue
+                    sub = _substitute_top_copy(p)
+                    red = sub.cyclic_free_reduce()
+                    assert syllables(red) == (red.signs, hand_after(red)), text
+                    assert extract_pattern(sub) == extract_pattern(red), text
+
+    @given(twords())
+    def test_fold_of_reduced_words(self, w):
+        w = w.free_reduce()
+        if w.t_count and is_cyclically_reduced(w):
+            assert hand_fold(w) == w.cyclic_free_reduce()
