@@ -25,10 +25,14 @@ three faces and two digon syllables (one pair, 11,706 nodes) and WORD at
 four faces, which stops at the node bound with exit code 3; ``conjugacy
 center`` on ``(x t)^2`` over Z/3 (s = 0, no pairs, one letter), which is
 checked in G * Z_k; a negative ``--digon-syllables`` and
-``--max-syllables``, which are usage errors; and four more usage errors:
-``diagram reduce`` on two disjoint degenerate digons, and one file per
-JSON loader with a field of the wrong type (a presentation, a diagram and
-a group table).
+``--max-syllables``, which are usage errors; six more usage errors:
+``diagram reduce`` on two disjoint degenerate digons, one file per JSON
+loader with a field of the wrong type (a presentation, a diagram and a
+group table), and two malformed ``diagram curvature --weights`` files (a
+list, and a float weight); and ``conjugacy oracle`` over Z/5 with k = 5
+at ten syllables, refused at the oracle's check bound with exit code 3
+(its 11,184,784 checks sit just above the bound, so a checkout without
+the bound still finishes the command).
 Each line is ``<sha256>  <name>``, with the exit code after a command's
 name; compare two checkouts' lines with ``diff``.
 """
@@ -88,6 +92,8 @@ COMMANDS = [
                                 "--digon-syllables", "-1"]),
     ("oracle-negative-bound", ["conjugacy", "oracle", "--group", "fixtures/z4.json", "--g", "x",
                                "--k", "2", "--max-syllables", "-1"]),
+    ("oracle-over-bound", ["conjugacy", "oracle", "--group", "fixtures/z5.json", "--g", "x",
+                           "--k", "5", "--max-syllables", "10"]),
 ]
 for _pres in PRES:
     _name = os.path.basename(_pres)[:-5]
@@ -146,9 +152,9 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
 
 
 def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
-    """Write two disjoint copies of the degenerate digon fixture and one
-    file per JSON loader with a field of the wrong type; returns the
-    commands that read them."""
+    """Write two disjoint copies of the degenerate digon fixture, one
+    file per JSON loader with a field of the wrong type and two malformed
+    weight files; returns the commands that read them."""
     def load(path: str):
         with open(os.path.join(work, path), encoding="utf-8") as fh:
             return json.load(fh)
@@ -162,7 +168,8 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
     two["exterior"]["vertex_seeds"] += [[1, 0], [1, 1]]
     bad_digon["faces"][0]["slots"][0]["dart"] = "a"
     docs = {"disconnected.json": two, "bad_pres.json": dict(load(PRES[0]), s="1"),
-            "bad_diagram.json": bad_digon, "bad_group.json": {"names": 5, "table": []}}
+            "bad_diagram.json": bad_digon, "bad_group.json": {"names": 5, "table": []},
+            "weights_list.json": [1, 1], "weights_float.json": {"0,0": 0.1, "1,0": 1}}
     for name, doc in docs.items():
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -170,7 +177,11 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
                                      "--pres", PRES[0], "--out", "chain-disconnected"]),
             ("bad-pres", ["conjugacy", "center", "--pres", "bad_pres.json"]),
             ("bad-diagram", ["diagram", "validate", "--in", "bad_diagram.json"]),
-            ("bad-group", ["word", "check", "--group", "bad_group.json", "--word", WORD])]
+            ("bad-group", ["word", "check", "--group", "bad_group.json", "--word", WORD]),
+            ("bad-weights-list", ["diagram", "curvature", "--in", "fixtures/two_onegons.json",
+                                  "--weights", "weights_list.json"]),
+            ("bad-weights-float", ["diagram", "curvature", "--in", "fixtures/two_onegons.json",
+                                   "--weights", "weights_float.json"])]
 
 
 def four_face_survivor(work: str) -> str:

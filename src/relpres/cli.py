@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from .presentation import (RelPresentation, RewriteError, back_substitute,
                            initial_rewrite, minimize, verify_conditions)
 from .search import (EnumerationConfig, SearchBoundExceeded,
                      brute_force_enumerate, curvature_audit, enumerate_diagrams)
-from .conjugacy import center_certificate, malnormality_oracle, reduce_conjugator
+from .conjugacy import (OracleBoundExceeded, center_certificate, malnormality_oracle,
+                        reduce_conjugator)
 from .words import WordParseError, is_cyclically_reduced, is_unimodular, \
     parse_h_word, parse_word, word_str
 
@@ -153,6 +155,42 @@ def cmd_diagram_validate(args) -> int:
     return _emit(args, [args.infile] + ([args.pres] if args.pres else []), status, result)
 
 
+_FRACTION = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _load_weights(path: str, d: Diagram) -> dict:
+    """A weight file: one JSON object mapping corner refs of ``d``, written
+    ``"face,slot"``, to an integer or a ``"p/q"`` string.  A float is
+    refused, since it would become a binary fraction, and so is a key
+    given twice, of which JSON keeps only the last."""
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, val in pairs:
+            if key in obj:
+                raise DiagramError(f"weight file {path}: {key!r} is given twice")
+            obj[key] = val
+        return obj
+
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh, object_pairs_hook=unique)
+    if not isinstance(raw, dict):
+        raise DiagramError(f"weight file {path}: expected an object of corner weights")
+    corners = {f"{fi},{si}": (fi, si) for fi, face in enumerate(d.faces)
+               for si in range(len(face))}
+    weights = {}
+    for key, val in raw.items():
+        if key not in corners:
+            raise DiagramError(f"weight file {path}: {key!r} is not a corner of the diagram")
+        if isinstance(val, int) and not isinstance(val, bool):
+            weights[corners[key]] = Fraction(val)
+        elif isinstance(val, str) and _FRACTION.fullmatch(val):
+            weights[corners[key]] = Fraction(val)
+        else:
+            raise DiagramError(f"weight file {path}: the weight of {key!r} must be an "
+                               f"integer or a \"p/q\" string, not {json.dumps(val)}")
+    return weights
+
+
 def cmd_diagram_curvature(args) -> int:
     d = _load_diagram(args.infile)
     inputs = [args.infile]
@@ -177,10 +215,7 @@ def cmd_diagram_curvature(args) -> int:
             result = {"audit": audit_doc} if audit_doc is not None else {"weight_rule": str(exc)}
             return _emit(args, inputs, VIOLATION, result)
     else:
-        with open(args.weights, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        weights = {tuple(map(int, key.split(","))): Fraction(val)
-                   for key, val in raw.items()}
+        weights = _load_weights(args.weights, d)
         inputs.append(args.weights)
     report = d.curvature(weights)
     result = {
@@ -253,7 +288,10 @@ def cmd_conjugacy_reduce(args) -> int:
 def cmd_conjugacy_oracle(args) -> int:
     group = _load_group(args.group)
     g = group.index_of(args.g)
-    rep = malnormality_oracle(group, g, args.k, args.max_syllables)
+    try:
+        rep = malnormality_oracle(group, g, args.k, args.max_syllables)
+    except OracleBoundExceeded as exc:
+        return _emit(args, [args.group], RESOURCE, {"error": str(exc)})
 
     def model_word(letters) -> list:
         """Copy 0 of the model is the base group G, copy 1 is <x>."""

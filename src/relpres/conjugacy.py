@@ -186,55 +186,88 @@ class MalnormalityReport:
     checked: int
 
 
+# the most checks one oracle call may make; at 1-2 us per check on a 2-CPU
+# machine, a passing run at the bound takes 10-20 s
+MAX_ORACLE_CHECKS = 10_000_000
+
+
+class OracleBoundExceeded(RuntimeError):
+    """The oracle would make more than ``MAX_ORACLE_CHECKS`` checks."""
+
+
+def oracle_checks(order: int, k: int, max_syllables: int) -> int:
+    """Checks a passing oracle makes over a group of the given order:
+    alternating words of G-letters and x-letters up to the bound, less the
+    base group, times the nontrivial elements conjugated by each."""
+    g, x = order - 1, k - 1
+    words = sum(g ** ((n + 1) // 2) * x ** (n // 2) + x ** ((n + 1) // 2) * g ** (n // 2)
+                for n in range(1, max_syllables + 1))
+    return (words - g) * g if max_syllables else 0
+
+
 def malnormality_oracle(group: GroupTable, g: int, k: int,
                         max_syllables: int) -> MalnormalityReport:
     """Exhaustive check that the base group meets its conjugates trivially
     in G * Z_k, over all conjugators of bounded syllable length.
 
-    Conjugators u are visited breadth first: by syllable length, then
-    lexicographically with G-letters before x-letters, so ``checked`` and
-    any counterexample are those of the first failing u in that order.
-    Each length is walked depth first, with each prefix's conjugates kept
-    on the stack and the next ones got from
+    This cross-checks a known fact: G is a free factor of G * Z_k, so by
+    the normal form theorem G meets u^-1 G u trivially for every u outside
+    G.  ``holds`` false therefore means a bug in the word kernel, never a
+    counterexample to that fact.
+
+    The report is that of a breadth-first scan: conjugators by syllable
+    length, then lexicographically with G-letters before x-letters, so
+    ``checked`` and any counterexample are those of the first failing
+    (u, h) in that order.  One pre-order walk visits every conjugator
+    once and checks it at its own length; it meets the words of each
+    length in that same order.  A hit at length d ends the descent below
+    d - 1, since every later word of length d or more comes after it, but
+    shorter words met later can still come first.  Each prefix's
+    conjugates are kept on the stack and a child's got from
     (p x)^-1 h (p x) = x^-1 (p^-1 h p) x; memory is O(L |G|).
     Words are ``freeprod`` letter tuples over ``model.factors``: G-letters
     in copy 0, x-letters in copy 1.  Raises ``ValueError`` for a negative
-    ``max_syllables``.
+    ``max_syllables`` and ``OracleBoundExceeded``, before any walking,
+    when a passing run would make more than ``MAX_ORACLE_CHECKS`` checks.
     """
     if max_syllables < 0:
         raise ValueError("max_syllables must be at least 0")
+    bound = oracle_checks(group.order, k, max_syllables)
+    if bound > MAX_ORACLE_CHECKS:
+        raise OracleBoundExceeded(
+            f"{max_syllables} syllables over a group of order {group.order} with k = {k} "
+            f"need {bound} checks, more than the bound of {MAX_ORACLE_CHECKS}")
     model = FreeProductModel(group, g, k)
     factors, in_base = model.factors, model.in_base_group
     hs = group.nontrivial()
     # (copy, x, x^-1) per one-letter word x, G-letters first
     steps = [(copy, ((copy, v),), inverse(factors, ((copy, v),)))
              for copy, vals in ((0, hs), (1, range(1, k))) for v in vals]
-    checked = 0
+    outside = [0] * (max_syllables + 1)     # conjugators outside G met, per length
+    first = None                            # (length, rank, index of h, u, h, value)
+    limit = max_syllables                   # the longest length still worth visiting
 
-    def walk(u: tuple, conjugates: list, depth: int):
-        nonlocal checked
-        if depth == 0:
-            if in_base(u):
-                return None
-            for h, value in zip(hs, conjugates):
-                checked += 1
+    def walk(u: tuple, last: int | None, conjugates: list, depth: int):
+        nonlocal first, limit
+        if not in_base(u):
+            for index, value in enumerate(conjugates):
                 if in_base(value):
-                    return u, h, value
-            return None
-        last = u[-1][0] if u else None
+                    first, limit = (depth, outside[depth], index, u, hs[index], value), depth - 1
+                    break
+            outside[depth] += 1
         for copy, x, x_inv in steps:
+            if depth >= limit:
+                return
             if copy != last:
-                found = walk(u + x, [seam_product(factors, seam_product(factors, x_inv, c), x)
-                                     for c in conjugates], depth - 1)
-                if found:
-                    return found
-        return None
+                walk(u + x, copy, [seam_product(factors, seam_product(factors, x_inv, c), x)
+                                   for c in conjugates], depth + 1)
 
-    for depth in range(max_syllables + 1):
-        found = walk((), [((0, h),) for h in hs], depth)
-        if found:
-            return MalnormalityReport(False, found, checked)
-    return MalnormalityReport(True, None, checked)
+    walk((), None, [((0, h),) for h in hs], 0)
+    if first is None:
+        return MalnormalityReport(True, None, sum(outside) * len(hs))
+    depth, rank, index, u, h, value = first
+    checked = (sum(outside[:depth]) + rank) * len(hs) + index + 1
+    return MalnormalityReport(False, (u, h, value), checked)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,34 @@ class TestDiagram:
         else:
             assert doc["result"] == {"weight_rule": reason}
 
+    @pytest.mark.parametrize("weights,named", [
+        ([1, 1], "expected an object"),
+        ({"0,0": [1], "1,0": 1}, "'0,0' must be"),
+        ({"0,0": 1, "1,0": 1, "2,0": 1}, "'2,0' is not a corner"),
+        ({"0,0": 0.1, "1,0": 1}, "'0,0' must be"),
+        ({"0,0": True, "1,0": 1}, "'0,0' must be"),
+        ({"0,0": "1/0", "1,0": 1}, "'0,0' must be"),
+        ({"0, 0": 1, "1,0": 1}, "'0, 0' is not a corner"),
+        ('{"0,0": 5, "0,0": 1, "1,0": 1}', "'0,0' is given twice"),
+    ], ids=["list", "list-value", "not-a-corner", "float", "bool", "zero-denominator",
+            "spaced-key", "duplicate-key"])
+    def test_curvature_weight_file_is_checked(self, capsys, tmp_path, weights, named):
+        # a str is the file's text as it stands, which can repeat a key
+        path = tmp_path / "w.json"
+        path.write_text(weights if isinstance(weights, str) else json.dumps(weights))
+        code, doc = run(capsys, "diagram", "curvature", "--in", fixture("two_onegons.json"),
+                        "--weights", str(path))
+        assert code == 2 and named in doc["error"] and "result" not in doc
+
+    def test_curvature_weight_file_matches_uniform(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"0,0": 1, "1,0": "2/2"}))
+        argv = ["diagram", "curvature", "--in", fixture("two_onegons.json"), "--weights"]
+        code, doc = run(capsys, *argv, str(path))
+        uniform_code, uniform = run(capsys, *argv, "uniform")
+        assert code == uniform_code == 0 and doc["result"] == uniform["result"]
+        assert "w.json" in doc["manifest"]["input_hashes"]
+
     def test_validate(self, capsys):
         code, doc = run(capsys, "diagram", "validate",
                         "--in", fixture("degenerate_digon_z3.json"),
@@ -200,6 +228,13 @@ class TestConjugacy:
         assert "max_syllables" in doc["error"] and "result" not in doc
         code, doc = run(capsys, *argv, "--max-syllables", "0")
         assert code == 0 and doc["result"]["malnormal_at_bound"] is True
+
+    def test_oracle_over_bound_is_resource(self, capsys):
+        # 11,184,784 checks, just above the bound: refused before walking
+        code, doc = run(capsys, "conjugacy", "oracle", "--group", fixture("z5.json"),
+                        "--g", "x", "--k", "5", "--max-syllables", "10")
+        assert code == 3 and doc["manifest"]["exit_status"] == 3
+        assert "11184784 checks" in doc["result"]["error"]
 
     def test_oracle_violation_document(self, capsys, monkeypatch):
         # flag every five-syllable value: the first one the oracle meets is

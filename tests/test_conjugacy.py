@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from relpres.conjugacy import (FreeProductModel, MalnormalityReport, StuckSignal,
-                               center_certificate, digon_step, malnormality_oracle,
-                               prefix_trace, reduce_conjugator)
+import relpres.conjugacy as conjugacy
+from relpres.conjugacy import (FreeProductModel, MalnormalityReport, OracleBoundExceeded,
+                               StuckSignal, center_certificate, digon_step,
+                               malnormality_oracle, oracle_checks, prefix_trace,
+                               reduce_conjugator)
 from relpres.freeprod import FreeProduct, inverse, normal_form, seam_product
 from relpres.presentation import initial_rewrite, minimize
 from relpres.words import TWord, from_items, parse_word, t_letter
@@ -301,6 +303,21 @@ class TestMalnormalityOracle:
         rep = malnormality_oracle(group, g, k, length)
         assert rep == reference_oracle(group, g, k, length)
 
+    @pytest.mark.parametrize("group,g,k,length", SETTINGS + [(Z3, 1, 2, 0), (Z3, 1, 2, 1)])
+    def test_closed_form_counts_a_passing_run(self, group, g, k, length):
+        rep = malnormality_oracle(group, g, k, length)
+        assert rep.holds and rep.checked == oracle_checks(group.order, k, length)
+
+    def test_over_bound_is_refused_before_walking(self, monkeypatch):
+        monkeypatch.setattr(conjugacy, "MAX_ORACLE_CHECKS", oracle_checks(3, 3, 4))
+        assert malnormality_oracle(Z3, 1, 3, 4).checked == conjugacy.MAX_ORACLE_CHECKS
+
+        def no_walk(self, a):
+            raise AssertionError("walked past the bound")
+        monkeypatch.setattr(FreeProductModel, "in_base_group", no_walk)
+        with pytest.raises(OracleBoundExceeded, match="bound"):
+            malnormality_oracle(Z3, 1, 3, 5)
+
     @pytest.mark.parametrize("group,k", [(Z2, 2), (Z3, 3), (Z4, 3), (S3, 2), (S3, 4)])
     def test_holds_false_is_a_bug(self, group, k):
         """Free factors of a free product are malnormal: G meets u^-1 G u
@@ -323,6 +340,26 @@ class TestMalnormalityOracle:
                             lambda self, a: a == target or honest(self, a))
         rep = malnormality_oracle(Z3, 1, 3, 5)
         assert not rep.holds and rep.counterexample[2] == target
+        assert rep == reference_oracle(Z3, 1, 3, 5)
+
+    def test_shorter_hit_met_after_a_longer_one_wins(self, monkeypatch):
+        """Flag a value of a five-syllable conjugator under the first
+        x-letter and one of a four-syllable conjugator under the last.  The
+        walk meets a flagged five-syllable value first, yet breadth first
+        the four-syllable hit comes first, so the walk must go on past it."""
+        model = FreeProductModel(Z3, 1, 3)
+        words = [u for u in model_words_up_to(model, 5) if not model.in_base_group(u)]
+        long_u = next(u for u in words if len(u) == 5 and u[0] == (1, 1))
+        short_u = next(u for u in reversed(words) if len(u) == 4 and u[0] == (1, 2))
+        targets = {conjugate(model, long_u, 1), conjugate(model, short_u, 2)}
+        flagged = [u for u in words for h in Z3.nontrivial() if conjugate(model, u, h) in targets]
+        # breadth first, then in the walk's pre-order (lexicographic, prefixes first)
+        assert len(flagged[0]) == 4 and len(min(flagged)) == 5
+        honest = FreeProductModel.in_base_group
+        monkeypatch.setattr(FreeProductModel, "in_base_group",
+                            lambda self, a: a in targets or honest(self, a))
+        rep = malnormality_oracle(Z3, 1, 3, 5)
+        assert not rep.holds and rep.counterexample[0] == flagged[0]
         assert rep == reference_oracle(Z3, 1, 3, 5)
 
 
