@@ -28,13 +28,16 @@ checked in G * Z_k; a negative ``--digon-syllables`` and
 ``--max-syllables``, which are usage errors; six more usage errors:
 ``diagram reduce`` on two disjoint degenerate digons, one file per JSON
 loader with a field of the wrong type (a presentation, a diagram and a
-group table), and two malformed ``diagram curvature --weights`` files (a
-list, and a float weight); and ``conjugacy oracle`` over Z/5 with k = 5
+group table), a diagram whose ``edge_dir`` key is not an edge index, and two
+malformed ``diagram curvature --weights`` files (a list, and a float
+weight); and ``conjugacy oracle`` over Z/5 with k = 5
 at ten syllables, refused at the oracle's check bound with exit code 3
 (its 11,184,784 checks sit just above the bound, so a checkout without
 the bound still finishes the command).
 Each line is ``<sha256>  <name>``, with the exit code after a command's
-name; compare two checkouts' lines with ``diff``.
+name; compare two checkouts' lines with ``diff``.  A command that runs
+longer than TIMEOUT_S seconds is stopped and printed as ``<64 dashes>
+<name> timeout``, so a checkout that hangs still gets a full listing.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ WORD21 = ("x t y t x t^-1 y t x t^-1 y t^-1 x t y t x t^-1 x t y t^-1 y t x t^-1
 # minimizes at k = 2 to one pair, the shape of the deep s=1 benchmark search
 DEEP_WORD = "x t x t x t^-1 x t^-1 x t"
 PRES = ("fixtures/pres_z3_k2.json", "fixtures/pres_z2_k2.json")
+TIMEOUT_S = 300                  # per command
 # (file, word over Z/3, k) of the minimized rewrites the library writes
 REWRITES = (("p21_pres.json", WORD21, 3), ("deep_pres.json", DEEP_WORD, 2),
             ("bound_pres.json", WORD, 2))
@@ -153,8 +157,9 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
 
 def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
     """Write two disjoint copies of the degenerate digon fixture, one
-    file per JSON loader with a field of the wrong type and two malformed
-    weight files; returns the commands that read them."""
+    file per JSON loader with a field of the wrong type, a diagram with a
+    key that is not an edge index and two malformed weight files; returns
+    the commands that read them."""
     def load(path: str):
         with open(os.path.join(work, path), encoding="utf-8") as fh:
             return json.load(fh)
@@ -169,6 +174,7 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
     bad_digon["faces"][0]["slots"][0]["dart"] = "a"
     docs = {"disconnected.json": two, "bad_pres.json": dict(load(PRES[0]), s="1"),
             "bad_diagram.json": bad_digon, "bad_group.json": {"names": 5, "table": []},
+            "bad_edge_key.json": dict(load(digon), edge_dir={"x": 0}),
             "weights_list.json": [1, 1], "weights_float.json": {"0,0": 0.1, "1,0": 1}}
     for name, doc in docs.items():
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
@@ -177,6 +183,7 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
                                      "--pres", PRES[0], "--out", "chain-disconnected"]),
             ("bad-pres", ["conjugacy", "center", "--pres", "bad_pres.json"]),
             ("bad-diagram", ["diagram", "validate", "--in", "bad_diagram.json"]),
+            ("bad-edge-key", ["diagram", "validate", "--in", "bad_edge_key.json"]),
             ("bad-group", ["word", "check", "--group", "bad_group.json", "--word", WORD]),
             ("bad-weights-list", ["diagram", "curvature", "--in", "fixtures/two_onegons.json",
                                   "--weights", "weights_list.json"]),
@@ -228,8 +235,13 @@ def main() -> None:
                                                 "--trace", f"trace-{name}.json"]))
         commands += bad_inputs(work)
         for name, argv in commands:
-            run = subprocess.run([sys.executable, "-m", "relpres.cli", *argv], cwd=work,
-                                 env=env, capture_output=True, check=False)
+            try:
+                run = subprocess.run([sys.executable, "-m", "relpres.cli", *argv], cwd=work,
+                                     env=env, capture_output=True, check=False,
+                                     timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                print(f"{'-' * 64}  {name} timeout")
+                continue
             print(f"{digest(run.stdout)}  {name} exit={run.returncode}")
             written = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--trace")]
             for path in written:

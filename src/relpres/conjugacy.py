@@ -51,10 +51,6 @@ class ReductionOutcome:
     substitutions: tuple[tuple[int, str, str], ...] = ()
     steps: int = 0
 
-    @property
-    def succeeded(self) -> bool:
-        return self.status != "stuck"
-
 
 def prefix_trace(u: TWord, h: FPWord) -> ReductionOutcome:
     """Conjugate h through u one letter at a time.

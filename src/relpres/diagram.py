@@ -15,9 +15,10 @@ along the arrow) and a label: the stable letter "t" or the identity "1"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .freeprod import FPWord, FreeProduct
 from .groups import GroupTable, json_field
@@ -143,12 +144,58 @@ def _int_pairs(data: dict, name: str, *default) -> list[tuple[int, int]]:
     return [tuple(p) for p in pairs]
 
 
+def _edge_key(key: str, name: str) -> int:
+    """Key ``key`` of field ``name``, which maps edge indexes, as an int.
+    Only the decimal spelling ``str(i)`` names edge ``i``, so no two keys
+    name one edge."""
+    if not (key.isdecimal() and key.isascii() and str(int(key)) == key):
+        raise DiagramError(f"field {name!r} key {key!r} is not an edge index")
+    return int(key)
+
+
+def slot_senses(darts: Sequence[int], arrow_darts: Container[int],
+                identity_darts: Container[int]) -> tuple[int, ...]:
+    """Per slot, the sense of its pre-edge: +1 along the edge arrow, -1
+    against it, 0 on an identity edge, which contributes no t-letter."""
+    return tuple([0 if d in identity_darts else 1 if d in arrow_darts else -1 for d in darts])
+
+
+@dataclass(eq=False)
+class MapTables:
+    """A map as per-dart tables, the one form diagrams are built from.
+
+    ``face_darts`` lists each face's darts anticlockwise (a move sets a
+    face it deletes to None); per dart, ``head_corner`` is the corner at
+    its head, ``pairing`` its partner, and the three sets say whether it
+    carries its edge's arrow, lies on an identity edge and marks an
+    exterior vertex at its head corner.  ``exterior_faces`` holds indexes
+    into ``face_darts``; ``next_dart`` is the next unused dart id.
+    ``Diagram.tables`` gives an editable copy of a diagram's tables, and
+    ``Diagram.from_tables`` builds a diagram from them, sharing
+    ``face_memo``."""
+
+    ambient: FreeProduct
+    face_darts: list
+    head_corner: dict[int, FPWord]
+    pairing: dict[int, int]
+    arrow_darts: set[int]
+    identity_darts: set[int]
+    marked_darts: set[int]
+    exterior_faces: set[int]
+    next_dart: int = 0
+    face_memo: dict = field(default_factory=dict)
+
+
 class Diagram:
-    """Immutable validated map.  The combinatorial structure is computed
-    up front.  What depends on one face's content alone is kept in a
-    ``FaceRecord`` per face, made on first use; the records are found in
-    ``face_memo``, keyed by each slot's corner letters and sense.  A
-    diagram made by a move (``moves.MutableDiagram.to_diagram``) shares
+    """Immutable validated map, kept as the per-dart tables of
+    ``MapTables``: ``face_darts``, ``head_corner``, ``pairing``,
+    ``arrow_darts``, ``identity_darts``, ``marked_darts`` (every dart
+    whose head corner lies on an exterior vertex) and ``exterior_faces``.
+    The combinatorial structure (edges, vertices) is computed up front;
+    ``faces`` is the slot view of the tables.  What depends on one face's
+    content alone is kept in a ``FaceRecord`` per face, made on first use;
+    the records are found in ``face_memo``, keyed by each slot's corner
+    letters and sense.  A diagram made by a move (``from_tables``) shares
     the memo of the diagram the move started from, so along a chain of
     moves each distinct face is read once.  The canonical form is
     computed on first use and kept."""
@@ -158,84 +205,133 @@ class Diagram:
                  faces: Sequence[Sequence[Slot]],
                  pairing: Mapping[int, int],
                  arrow_darts: Iterable[int],
-                 edge_labels: Mapping[frozenset, str] | None = None,
+                 edge_labels: Mapping[Iterable[int], str] | None = None,
                  exterior_faces: Iterable[int] = (),
                  exterior_vertex_seeds: Iterable[CornerRef] = ()):
-        self.ambient = ambient
-        self.faces: tuple[tuple[Slot, ...], ...] = tuple(tuple(f) for f in faces)
-        if any(len(f) == 0 for f in self.faces):
-            raise DiagramError("face with no corners")
-        self.pairing = dict(pairing)
-        self._validate_pairing()
-        self.slot_of_dart: dict[int, CornerRef] = {}
-        for fi, face in enumerate(self.faces):
-            for si, slot in enumerate(face):
-                if slot.dart in self.slot_of_dart:
-                    raise DiagramError(f"dart {slot.dart} appears in two slots")
-                if slot.corner.ambient != ambient:
+        face_darts: list[list[int]] = []
+        head_corner: dict[int, FPWord] = {}
+        for face in faces:
+            darts = []
+            for slot in face:
+                if slot.corner.ambient is not ambient and slot.corner.ambient != ambient:
                     raise DiagramError("corner label in wrong ambient")
-                self.slot_of_dart[slot.dart] = (fi, si)
-        missing = set(self.pairing) ^ set(self.slot_of_dart)
-        if missing:
-            raise DiagramError(f"dangling darts: {sorted(missing)}")
-
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(
-            (min(d, self.pairing[d]), max(d, self.pairing[d]))
-            for d in self.pairing if d < self.pairing[d]))
-        self.edge_of_dart = {}
-        for ei, (d1, d2) in enumerate(self.edges):
-            self.edge_of_dart[d1] = ei
-            self.edge_of_dart[d2] = ei
-
-        arrows = set(arrow_darts)
-        self.arrow_of_edge: dict[int, int] = {}
-        for ei, (d1, d2) in enumerate(self.edges):
-            chosen = [d for d in (d1, d2) if d in arrows]
-            if len(chosen) == 0:
-                self.arrow_of_edge[ei] = d1
-            elif len(chosen) == 1:
-                self.arrow_of_edge[ei] = chosen[0]
-            else:
-                raise DiagramError(f"orientation conflict on edge {ei}: both darts marked")
-        extra = arrows - set(self.pairing)
-        if extra:
-            raise DiagramError(f"orientation conflict: arrow darts {sorted(extra)} unknown")
-
-        self.edge_label: dict[int, str] = {ei: "t" for ei in range(len(self.edges))}
+                head_corner[slot.dart] = slot.corner
+                darts.append(slot.dart)
+            face_darts.append(darts)
+        identity: set[int] = set()
         for key, lab in (edge_labels or {}).items():
-            darts = frozenset(key)
-            ds = sorted(darts)
-            if len(ds) != 2 or self.pairing.get(ds[0]) != ds[1]:
-                raise DiagramError(f"edge label on non-edge {sorted(darts)}")
+            ds = sorted(set(key))
+            if len(ds) != 2 or pairing.get(ds[0]) != ds[1]:
+                raise DiagramError(f"edge label on non-edge {ds}")
             if lab not in ("t", "1"):
                 raise DiagramError(f"unsupported edge label {lab!r}")
-            self.edge_label[self.edge_of_dart[ds[0]]] = lab
+            if lab == "1":
+                identity.update(ds)
+            else:
+                identity.difference_update(ds)
+        marked = set()
+        for ref in exterior_vertex_seeds:
+            ref = tuple(ref)
+            if (len(ref) != 2 or not 0 <= ref[0] < len(face_darts)
+                    or not 0 <= ref[1] < len(face_darts[ref[0]])):
+                raise DiagramError(f"exterior vertex seed {ref} is not a corner")
+            marked.add(face_darts[ref[0]][ref[1]])
+        self._build(MapTables(ambient, face_darts, head_corner, dict(pairing), set(arrow_darts),
+                              identity, marked, set(exterior_faces)))
 
-        self.exterior_faces = frozenset(exterior_faces)
-        if any(not (0 <= f < len(self.faces)) for f in self.exterior_faces):
+    @classmethod
+    def from_tables(cls, tables: MapTables) -> "Diagram":
+        """The diagram of ``tables``, which it takes over: the caller edits
+        them no further."""
+        d = cls.__new__(cls)
+        d._build(tables)
+        return d
+
+    def tables(self) -> MapTables:
+        """An editable copy of the tables, sharing ``face_memo``."""
+        return MapTables(self.ambient, [list(f) for f in self.face_darts], dict(self.head_corner),
+                         dict(self.pairing), set(self.arrow_darts), set(self.identity_darts),
+                         set(self.marked_darts), set(self.exterior_faces),
+                         max(self.pairing, default=-1) + 1, self.face_memo)
+
+    def _build(self, t: MapTables) -> None:
+        """Validate the tables and derive edges and vertices: the core of
+        both constructors.  Deleted faces drop out, the faces after them
+        move up, and the marks spread to every corner of a marked vertex."""
+        self.ambient = t.ambient
+        index: dict[int, int] = {}
+        faces: list[tuple[int, ...]] = []
+        for f, darts in enumerate(t.face_darts):
+            if darts is not None:
+                if not darts:
+                    raise DiagramError("face with no corners")
+                index[f] = len(faces)
+                faces.append(tuple(darts))
+        self.face_darts: tuple[tuple[int, ...], ...] = tuple(faces)
+        self.pairing = t.pairing
+        self._validate_pairing()
+        self.slot_of_dart: dict[int, CornerRef] = {}
+        for fi, darts in enumerate(faces):
+            for si, dart in enumerate(darts):
+                if dart in self.slot_of_dart:
+                    raise DiagramError(f"dart {dart} appears in two slots")
+                self.slot_of_dart[dart] = (fi, si)
+        missing = self.pairing.keys() ^ self.slot_of_dart.keys()
+        if missing:
+            raise DiagramError(f"dangling darts: {sorted(missing)}")
+        if t.head_corner.keys() != self.slot_of_dart.keys():
+            raise DiagramError("the corner table and the faces name different darts")
+        self.head_corner = t.head_corner
+
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(
+            [(d, e) for d, e in self.pairing.items() if d < e]))
+        arrows, identity = t.arrow_darts, t.identity_darts
+        self.edge_of_dart: dict[int, int] = {}
+        self.arrow_of_edge: dict[int, int] = {}
+        self.edge_label: dict[int, str] = {}
+        for ei, (d1, d2) in enumerate(self.edges):
+            self.edge_of_dart[d1] = self.edge_of_dart[d2] = ei
+            if d2 not in arrows:
+                self.arrow_of_edge[ei] = d1
+            elif d1 not in arrows:
+                self.arrow_of_edge[ei] = d2
+            else:
+                raise DiagramError(f"orientation conflict on edge {ei}: both darts marked")
+            self.edge_label[ei] = "1" if d1 in identity else "t"
+        extra = arrows - self.pairing.keys()
+        if extra:
+            raise DiagramError(f"orientation conflict: arrow darts {sorted(extra)} unknown")
+        self.arrow_darts = frozenset(self.arrow_of_edge.values())
+        self.identity_darts = frozenset(identity)
+
+        ext_faces = [index.get(f) for f in t.exterior_faces]
+        if None in ext_faces:
             raise DiagramError("exterior face index out of range")
+        self.exterior_faces = frozenset(ext_faces)
 
-        self.vertices: tuple[tuple[CornerRef, ...], ...] = tuple(maps.corner_cycles(
-            [[slot.dart for slot in face] for face in self.faces], self.pairing))
+        self.vertices: tuple[tuple[CornerRef, ...], ...] = tuple(
+            maps.corner_cycles(faces, self.pairing))
         self.vertex_of_corner: dict[CornerRef, int] = {}
         for vi, orbit in enumerate(self.vertices):
             for ref in orbit:
                 self.vertex_of_corner[ref] = vi
+        self.exterior_vertices = frozenset(
+            [self.vertex_of_corner[self.slot_of_dart[d]] for d in t.marked_darts])
+        self.marked_darts = frozenset([faces[fi][si] for v in self.exterior_vertices
+                                       for fi, si in self.vertices[v]])
 
-        ext_vertices = set()
-        for ref in exterior_vertex_seeds:
-            ref = tuple(ref)
-            if ref not in self.vertex_of_corner:
-                raise DiagramError(f"exterior vertex seed {ref} is not a corner")
-            ext_vertices.add(self.vertex_of_corner[ref])
-        self.exterior_vertices = frozenset(ext_vertices)
-
-        self.chi = len(self.vertices) - len(self.edges) + len(self.faces)
+        self.chi = len(self.vertices) - len(self.edges) + len(faces)
         if self.chi % 2 != 0:
             raise DiagramError(f"odd Euler characteristic {self.chi}")
         self._canonical: str | None = None
-        self.face_memo: dict[tuple, FaceRecord] = {}
+        self.face_memo = t.face_memo
         self._records: list[FaceRecord] | None = None
+
+    @cached_property
+    def faces(self) -> tuple[tuple[Slot, ...], ...]:
+        """Each face's slots, as the constructor takes them."""
+        corner = self.head_corner
+        return tuple(tuple([Slot(d, corner[d]) for d in darts]) for darts in self.face_darts)
 
     # -- structure ------------------------------------------------------
 
@@ -247,7 +343,7 @@ class Diagram:
                 raise DiagramError(f"pairing is not an involution at dart {d}")
 
     def corner(self, ref: CornerRef) -> FPWord:
-        return self.faces[ref[0]][ref[1]].corner
+        return self.head_corner[self.face_darts[ref[0]][ref[1]]]
 
     def head(self, dart: int) -> int:
         """Vertex at the head of a dart."""
@@ -256,14 +352,14 @@ class Diagram:
     def tail(self, dart: int) -> int:
         """Vertex at the tail of a dart: the head of its face predecessor."""
         fi, si = self.slot_of_dart[dart]
-        return self.vertex_of_corner[(fi, (si - 1) % len(self.faces[fi]))]
+        return self.vertex_of_corner[(fi, (si - 1) % len(self.face_darts[fi]))]
 
     def sense(self, dart: int) -> int:
         """+1 when the face traversal follows the edge arrow."""
-        return 1 if self.arrow_of_edge[self.edge_of_dart[dart]] == dart else -1
+        return 1 if dart in self.arrow_darts else -1
 
     def components(self) -> list[frozenset[int]]:
-        return [frozenset(c) for c in maps.components(len(self.faces), (
+        return [frozenset(c) for c in maps.components(len(self.face_darts), (
             (self.slot_of_dart[d][0], self.slot_of_dart[e][0]) for d, e in self.pairing.items()))]
 
     def is_connected(self) -> bool:
@@ -288,19 +384,14 @@ class Diagram:
         """The record of each face's content, found in ``face_memo`` or
         added to it on the first call."""
         if self._records is None:
-            edge_of, arrow_of, label_of = self.edge_of_dart, self.arrow_of_edge, self.edge_label
-            memo, records = self.face_memo, []
-            for face in self.faces:
-                # per slot, the sense of its pre-edge, or 0 on an identity
-                # edge, which contributes no t-letter
-                senses = tuple([0 if label_of[edge_of[s.dart]] != "t"
-                                else 1 if arrow_of[edge_of[s.dart]] == s.dart else -1
-                                for s in face])
-                key = (senses, tuple([s.corner.letters for s in face]))
+            corner, memo, records = self.head_corner, self.face_memo, []
+            for darts in self.face_darts:
+                senses = slot_senses(darts, self.arrow_darts, self.identity_darts)
+                corners = tuple([corner[d] for d in darts])
+                key = (senses, tuple([c.letters for c in corners]))
                 rec = memo.get(key)
                 if rec is None:
-                    rec = memo[key] = FaceRecord(self.ambient, tuple([s.corner for s in face]),
-                                                 senses)
+                    rec = memo[key] = FaceRecord(self.ambient, corners, senses)
                 records.append(rec)
             self._records = records
         return self._records
@@ -315,9 +406,9 @@ class Diagram:
 
     def corner_type(self, ref: CornerRef) -> str:
         fi, si = ref
-        face = self.faces[fi]
-        d_in = face[si].dart
-        d_out = face[(si + 1) % len(face)].dart
+        face = self.face_darts[fi]
+        d_in = face[si]
+        d_out = face[(si + 1) % len(face)]
         a = "+" if self.sense(d_in) == 1 else "-"
         b = "+" if self.sense(d_out) == 1 else "-"
         return a + b
@@ -346,7 +437,7 @@ class Diagram:
     # -- curvature ---------------------------------------------------------
 
     def curvature(self, weights: WeightAssignment) -> "CurvatureReport":
-        for fi, face in enumerate(self.faces):
+        for fi, face in enumerate(self.face_darts):
             for si in range(len(face)):
                 if (fi, si) not in weights:
                     raise DiagramError(f"missing weight for corner {(fi, si)}")
@@ -354,7 +445,7 @@ class Diagram:
         for orbit in self.vertices:
             vertex_k.append(Fraction(2) - sum(Fraction(weights[r]) for r in orbit))
         face_k = []
-        for fi, face in enumerate(self.faces):
+        for fi, face in enumerate(self.face_darts):
             face_k.append(Fraction(2) - sum(1 - Fraction(weights[(fi, si)])
                                             for si in range(len(face))))
         total = sum(vertex_k) + sum(face_k)
@@ -367,12 +458,13 @@ class Diagram:
         edge_dir = {str(ei): self.arrow_of_edge[ei] for ei in range(len(self.edges))}
         labels = {str(ei): lab for ei, lab in self.edge_label.items() if lab != "t"}
         seeds = sorted(min(self.vertices[v]) for v in self.exterior_vertices)
+        corner = self.head_corner
         return {
             "ambient": {"names": list(self.ambient.group.names),
                         "table": [list(r) for r in self.ambient.group.table],
                         "s": self.ambient.s},
-            "faces": [{"slots": [{"dart": s.dart, "corner": str(s.corner) if s.corner else ""}
-                                 for s in face]} for face in self.faces],
+            "faces": [{"slots": [{"dart": d, "corner": str(corner[d]) if corner[d] else ""}
+                                 for d in darts]} for darts in self.face_darts],
             "pairing": [list(e) for e in self.edges],
             "edge_dir": edge_dir,
             "edge_labels": labels,
@@ -408,29 +500,22 @@ class Diagram:
         arrow_darts = []
         order = sorted((min(e), max(e)) for e in edge_list)
         for key, dart in json_field(data, "edge_dir", dict, DiagramError, {}).items():
-            ei = int(key)
+            ei = _edge_key(key, "edge_dir")
             if not (0 <= ei < len(order)) or dart not in order[ei]:
                 raise DiagramError(f"orientation conflict in edge_dir entry {key}")
             arrow_darts.append(dart)
         edge_labels = {}
         for key, label in json_field(data, "edge_labels", dict, DiagramError, {}).items():
-            ei = int(key)
+            ei = _edge_key(key, "edge_labels")
             if not 0 <= ei < len(order):
                 raise DiagramError(f"edge_labels entry {key} names no edge")
-            edge_labels[frozenset(order[ei])] = label
+            edge_labels[order[ei]] = label
         ext = json_field(data, "exterior", dict, DiagramError, {})
         ext_faces = json_field(ext, "faces", list, DiagramError, [])
         if any(type(f) is not int for f in ext_faces):
             raise DiagramError("field 'faces' of 'exterior' must hold integers")
         return cls(ambient, faces, pairing, arrow_darts, edge_labels,
                    ext_faces, _int_pairs(ext, "vertex_seeds", []))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Diagram":
-        return cls.from_dict(json.loads(text))
 
     def canonical_form(self) -> str:
         """Lexicographically minimal serialization over dart relabelings.
@@ -480,22 +565,21 @@ class _CanonicalLabeller:
         start: list[int] = []
         self.face_of: list[int] = []
         self.rings: list[list[list[int]]] = []     # [face][rotation] -> slots
-        for fi, face in enumerate(d.faces):
+        for fi, face in enumerate(d.face_darts):
             first = len(self.face_of)
             start.append(first)
             slots = list(range(first, first + len(face)))
             self.rings.append([slots[r:] + slots[:r] for r in range(len(slots))])
             self.face_of += [fi] * len(face)
-        slots = [slot for face in d.faces for slot in face]
-        local = {slot.dart: i for i, slot in enumerate(slots)}
-        self.mate = [local[d.pairing[slot.dart]] for slot in slots]
-        self.mate_rot = [j - start[self.face_of[j]] for j in self.mate]
-        arrows = set(d.arrow_of_edge.values())
-        self.arrow = [slot.dart in arrows for slot in slots]
-        self.label = [_json_str(lab) if lab != "t" else None     # JSON text, if listed
-                      for lab in (d.edge_label[d.edge_of_dart[slot.dart]] for slot in slots)]
+        darts = [dart for face in d.face_darts for dart in face]
+        mates = [d.slot_of_dart[d.pairing[dart]] for dart in darts]
+        self.mate = [start[fi] + si for fi, si in mates]
+        self.mate_rot = [si for _, si in mates]
+        self.arrow = [dart in d.arrow_darts for dart in darts]
+        self.label = ['"1"' if dart in d.identity_darts else None     # JSON text, if listed
+                      for dart in darts]
         self.corner = [text for rec in d.face_records() for text in rec.corner_texts()]
-        self.num = [str(k) for k in range(len(slots))]
+        self.num = [str(k) for k in range(len(darts))]
         self.dart = [k + "}" for k in self.num]
         self.ext_orbits = [[start[fi] + si for fi, si in d.vertices[v]]
                            for v in d.exterior_vertices]
@@ -647,7 +731,7 @@ class CurvatureReport:
 
 def uniform_weights(diagram: Diagram, value: Fraction = Fraction(1)) -> dict[CornerRef, Fraction]:
     return {(fi, si): Fraction(value)
-            for fi, face in enumerate(diagram.faces) for si in range(len(face))}
+            for fi, face in enumerate(diagram.face_darts) for si in range(len(face))}
 
 
 # -- Howie validation ---------------------------------------------------
@@ -712,7 +796,7 @@ def validate_howie(diagram: Diagram, pres: RelPresentation,
     check_ambient(diagram, pres)
     failures = []
     classes = []
-    for fi in range(len(diagram.faces)):
+    for fi in range(len(diagram.face_darts)):
         fc = classify_face(diagram, pres, fi)
         classes.append(fc)
         if fc.kind == "invalid":
@@ -776,7 +860,7 @@ def curvature_weights(diagram: Diagram, pres: RelPresentation) -> WeightRuleResu
     for fi, kind in enumerate(kinds):
         if kind != "digon":
             continue
-        positives = [(fi, si) for si in range(len(diagram.faces[fi]))
+        positives = [(fi, si) for si in range(len(diagram.face_darts[fi]))
                      if set(neighbor_types[(fi, si)]) == {"++", "--"}]
         if len(positives) > 1:
             raise DiagramError(f"digon {fi} has two positive corners")
@@ -786,7 +870,7 @@ def curvature_weights(diagram: Diagram, pres: RelPresentation) -> WeightRuleResu
             special[fi] = (pos, neg)
 
     weights: dict[CornerRef, Fraction] = {}
-    for fi, face in enumerate(diagram.faces):
+    for fi, face in enumerate(diagram.face_darts):
         for si in range(len(face)):
             ref = (fi, si)
             ctype = diagram.corner_type(ref)
@@ -842,7 +926,7 @@ def digon_adjacencies(diagram: Diagram, pres: RelPresentation) -> list[tuple[int
     """Edges shared by two distinct digon faces (forbidden when reduced
     diagrams are required to keep digons apart)."""
     digon = [classify_face(diagram, pres, fi).kind == "digon"
-             for fi in range(len(diagram.faces))]
+             for fi in range(len(diagram.face_darts))]
     out = []
     for ei, (d1, d2) in enumerate(diagram.edges):
         f1 = diagram.slot_of_dart[d1][0]
@@ -862,9 +946,9 @@ def is_phi_reduced(diagram: Diagram, pres: RelPresentation
 def is_degenerate_digon(diagram: Diagram, pres: RelPresentation) -> bool:
     """One digon face whose two pre-edges are glued to each other, with
     two exterior vertices: the self-associated digon sphere."""
-    if len(diagram.faces) != 1 or len(diagram.faces[0]) != 2:
+    if len(diagram.face_darts) != 1 or len(diagram.face_darts[0]) != 2:
         return False
-    d1, d2 = (s.dart for s in diagram.faces[0])
+    d1, d2 = diagram.face_darts[0]
     if diagram.pairing[d1] != d2:
         return False
     if len(diagram.vertices) != 2 or len(diagram.exterior_vertices) != 2:

@@ -1,9 +1,11 @@
 """Diagram transformations: digon merging, hole filling, identity-edge
 pulls, strip thickening, the reduction driver, and cyclic gluing.
 
-All moves work on a mutable copy and rebuild an immutable Diagram, so a
-failed precondition can never corrupt the input.  Exterior-vertex markers
-ride on corners and survive corner merges (``MSlot.absorb``).  The rebuilt
+Every move edits a copy of its diagram's per-dart tables
+(``Diagram.tables``) by dart id and builds its output with
+``Diagram.from_tables``, so a failed precondition can never corrupt the
+input.  Exterior-vertex marks ride on darts (a mark sits at the dart's
+head corner) and survive corner merges (``_absorb``).  The rebuilt
 diagram shares the face records (``Diagram.face_memo``) of the one the
 move started from, so a face the move leaves alone is not read again.
 
@@ -18,12 +20,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .diagram import (Diagram, Slot, check_ambient, classify_face, digon_adjacencies,
-                      is_phi_reduced, label_from, reducible_pairs, validate_howie)
-from .freeprod import FPWord, FreeProduct, conjugate_in_free_product
-from .maps import components, corner_cycles
+from .diagram import (Diagram, MapTables, check_ambient, classify_face, digon_adjacencies,
+                      is_phi_reduced, label_from, reducible_pairs, slot_senses, validate_howie)
+from .freeprod import FPWord, conjugate_in_free_product
+from .maps import components
 from .presentation import RelPresentation
-from .words import TWord
 
 
 class MoveError(ValueError):
@@ -34,159 +35,123 @@ class ReductionBoundExceeded(MoveError):
     """``reduce_to_chain`` took more steps than its bound allows."""
 
 
-class MSlot:
-    __slots__ = ("dart", "corner", "mark")
-
-    def __init__(self, dart: int, corner: FPWord, mark: bool = False):
-        self.dart = dart
-        self.corner = corner
-        self.mark = mark
-
-    def absorb(self, gone: "MSlot") -> None:
-        """Fold the corner and mark of a slot being removed into this one,
-        the slot before it in walk order."""
-        self.corner = self.corner * gone.corner
-        self.mark = self.mark or gone.mark
+# -- table edits ------------------------------------------------------------
 
 
-class MutableDiagram:
-    """Working copy for surgery; faces keyed by stable ids."""
+def _new_dart(t: MapTables) -> int:
+    t.next_dart += 1
+    return t.next_dart - 1
 
-    def __init__(self, ambient: FreeProduct):
-        self.ambient = ambient
-        self.faces: dict[int, list[MSlot]] = {}
-        self.pairing: dict[int, int] = {}
-        self.arrow: set[int] = set()
-        self.label: dict[frozenset, str] = {}
-        self.exterior_faces: set[int] = set()
-        self.face_memo: dict = {}       # shared with the diagrams built from this one
-        self._next_face = 0
-        self._next_dart = 0
 
-    @classmethod
-    def from_diagram(cls, d: Diagram) -> "MutableDiagram":
-        b = cls(d.ambient)
-        marked_refs = {ref for v in d.exterior_vertices for ref in d.vertices[v]}
-        for fi, face in enumerate(d.faces):
-            slots = [MSlot(s.dart, s.corner, (fi, si) in marked_refs)
-                     for si, s in enumerate(face)]
-            b.faces[fi] = slots
-        b._next_face = len(d.faces)
-        b.pairing = dict(d.pairing)
-        b.arrow = {d.arrow_of_edge[ei] for ei in range(len(d.edges))}
-        b.label = {frozenset(e): d.edge_label[ei] for ei, e in enumerate(d.edges)}
-        b.exterior_faces = set(d.exterior_faces)
-        b.face_memo = d.face_memo
-        b._next_dart = max(d.pairing, default=-1) + 1
-        return b
+def _pair(t: MapTables, d1: int, d2: int, identity: bool = False, arrow: int | None = None
+          ) -> None:
+    """Glue two darts into an edge whose arrow ``arrow`` (default ``d1``)
+    carries."""
+    t.pairing[d1] = d2
+    t.pairing[d2] = d1
+    for d in (d1, d2):
+        t.arrow_darts.discard(d)
+        if identity:
+            t.identity_darts.add(d)
+        else:
+            t.identity_darts.discard(d)
+    t.arrow_darts.add(d1 if arrow is None else arrow)
 
-    # -- allocation ----------------------------------------------------
 
-    def new_dart(self) -> int:
-        self._next_dart += 1
-        return self._next_dart - 1
+def _unpair(t: MapTables, d1: int) -> None:
+    d2 = t.pairing.pop(d1)
+    del t.pairing[d2]
+    for d in (d1, d2):
+        t.arrow_darts.discard(d)
+        t.identity_darts.discard(d)
 
-    def add_face(self, slots: list[MSlot], exterior: bool = False) -> int:
-        fid = self._next_face
-        self._next_face += 1
-        self.faces[fid] = slots
-        if exterior:
-            self.exterior_faces.add(fid)
-        return fid
 
-    def pair(self, d1: int, d2: int, label: str = "t", arrow: int | None = None) -> None:
-        self.pairing[d1] = d2
-        self.pairing[d2] = d1
-        self.label[frozenset((d1, d2))] = label
-        self.arrow.discard(d1)
-        self.arrow.discard(d2)
-        self.arrow.add(arrow if arrow is not None else d1)
+def _absorb(t: MapTables, keep: int, gone: int) -> None:
+    """Fold the head corner and mark of dart ``gone``, which is leaving
+    the map, into those of ``keep``, the dart before it in walk order."""
+    t.head_corner[keep] = t.head_corner[keep] * t.head_corner.pop(gone)
+    if gone in t.marked_darts:
+        t.marked_darts.discard(gone)
+        t.marked_darts.add(keep)
 
-    def unpair(self, d1: int) -> None:
-        d2 = self.pairing.pop(d1)
-        self.pairing.pop(d2)
-        self.label.pop(frozenset((d1, d2)), None)
-        self.arrow.discard(d1)
-        self.arrow.discard(d2)
 
-    # -- lookup ----------------------------------------------------------
+def _drop_slot(t: MapTables, f: int, i: int) -> None:
+    """Drop slot ``i`` of face ``f``, folding its corner into the slot
+    before it."""
+    darts = t.face_darts[f]
+    _absorb(t, darts[i - 1], darts[i])
+    del darts[i]
 
-    def slot_ref(self, dart: int) -> tuple[int, int]:
-        for fid, slots in self.faces.items():
-            for si, s in enumerate(slots):
-                if s.dart == dart:
-                    return fid, si
-        raise MoveError(f"dart {dart} not found")
 
-    def edge_label(self, dart: int) -> str:
-        return self.label[frozenset((dart, self.pairing[dart]))]
+def _add_face(t: MapTables, darts: list[int], exterior: bool = False) -> int:
+    t.face_darts.append(darts)
+    if exterior:
+        t.exterior_faces.add(len(t.face_darts) - 1)
+    return len(t.face_darts) - 1
 
-    def vertex_slots(self) -> list[list[MSlot]]:
-        """The slots around each vertex, in corner-rotation order."""
-        faces = [self.faces[fid] for fid in sorted(self.faces)]
-        return [[faces[fi][si] for fi, si in orbit] for orbit in corner_cycles(
-            [[s.dart for s in slots] for slots in faces], self.pairing)]
 
-    def to_diagram(self) -> Diagram:
-        order = sorted(self.faces)
-        faces = []
-        seeds = []
-        for new_fi, fid in enumerate(order):
-            slots = self.faces[fid]
-            faces.append([Slot(s.dart, s.corner) for s in slots])
-            seeds.extend((new_fi, si) for si, s in enumerate(slots) if s.mark)
-        ext_faces = [order.index(f) for f in self.exterior_faces if f in self.faces]
-        out = Diagram(self.ambient, faces, self.pairing, self.arrow,
-                      dict(self.label), ext_faces, seeds)
-        out.face_memo = self.face_memo
-        return out
+def _add_cell(t: MapTables, slots: list[tuple[int, FPWord]]) -> None:
+    """Add a face of new darts, given as ``(dart, head corner)`` slots."""
+    t.head_corner.update(slots)
+    _add_face(t, [d for d, _ in slots])
+
+
+def _remove_face(t: MapTables, f: int) -> list[int]:
+    """Delete face ``f`` and return its darts, which stay in the tables."""
+    darts = t.face_darts[f]
+    t.face_darts[f] = None
+    t.exterior_faces.discard(f)
+    return darts
+
+
+def _drop_face(t: MapTables, f: int) -> None:
+    """Delete face ``f`` and every table entry of its darts, whose
+    partners are unpaired already or go in the same way."""
+    for d in _remove_face(t, f):
+        del t.head_corner[d]
+        t.pairing.pop(d, None)
+        t.arrow_darts.discard(d)
+        t.identity_darts.discard(d)
+        t.marked_darts.discard(d)
 
 
 # -- elementary surgeries -------------------------------------------------
 
 
-def _remove_slot_merge_back(builder: MutableDiagram, fid: int, si: int) -> None:
-    """Drop slot si, folding its corner into the predecessor's corner."""
-    slots = builder.faces[fid]
-    slots[si - 1].absorb(slots[si])
-    del slots[si]
-
-
-def merge_faces_along(builder: MutableDiagram, dart: int) -> int:
+def merge_faces_along(diagram: Diagram, dart: int) -> tuple[MapTables, int]:
     """Delete the edge of ``dart`` and join its two distinct faces.
 
-    Returns the id of the merged face.  At each seam vertex the slot
-    before the deleted edge absorbs the corner after the other face's dart.
-    Neither face may be a monogon: no move merges one (``merge_digons``
-    joins digons, ``fill_hole`` large faces).
+    Returns a copy of the diagram's tables with the merged face last, and
+    that face's index.  At each seam vertex the dart before the deleted
+    edge absorbs the corner after the other face's dart.  Neither face may
+    be a monogon: no move merges one (``merge_digons`` joins digons,
+    ``fill_hole`` large faces).
     """
-    f1, i1 = builder.slot_ref(dart)
-    f2, i2 = builder.slot_ref(builder.pairing[dart])
+    f1, i1 = diagram.slot_of_dart[dart]
+    f2, i2 = diagram.slot_of_dart[diagram.pairing[dart]]
     if f1 == f2:
         raise MoveError("edge borders a single face; cannot merge")
-    s1 = builder.faces[f1]
-    s2 = builder.faces[f2]
+    s1, s2 = diagram.face_darts[f1], diagram.face_darts[f2]
     if len(s1) == 1 or len(s2) == 1:
         raise MoveError("edge borders a monogon; cannot merge")
-    s1[i1 - 1].absorb(s2[i2])
-    s2[i2 - 1].absorb(s1[i1])
+    t = diagram.tables()
+    _absorb(t, s1[i1 - 1], s2[i2])
+    _absorb(t, s2[i2 - 1], s1[i1])
+    _unpair(t, dart)
+    was_ext = f1 in t.exterior_faces or f2 in t.exterior_faces
+    _remove_face(t, f1)
+    _remove_face(t, f2)
     new = s1[i1 + 1:] + s1[:i1] + s2[i2 + 1:] + s2[:i2]
-    builder.unpair(dart)
-    del builder.faces[f1]
-    del builder.faces[f2]
-    was_ext = f1 in builder.exterior_faces or f2 in builder.exterior_faces
-    builder.exterior_faces.discard(f1)
-    builder.exterior_faces.discard(f2)
-    return builder.add_face(new, exterior=was_ext)
+    return t, _add_face(t, list(new), exterior=was_ext)
 
 
 def merge_digons(diagram: Diagram, pres: RelPresentation, edge_index: int
                  ) -> tuple[Diagram, FPWord, int]:
     """Join two distinct digons sharing the given edge into one digon.
 
-    Returns the new diagram and the merged digon word (trivial when the
-    two digons cancel; the resulting bigon is left for the caller, see
-    collapse_trivial_bigon).
+    Returns the new diagram, the merged digon word (trivial when the two
+    digons cancel; the resulting bigon is left for the caller, see
+    collapse_trivial_bigon) and the merged face's index.
     """
     d1, d2 = diagram.edges[edge_index]
     f1 = diagram.slot_of_dart[d1][0]
@@ -197,10 +162,8 @@ def merge_digons(diagram: Diagram, pres: RelPresentation, edge_index: int
     c2 = classify_face(diagram, pres, f2)
     if c1.kind != "digon" or c2.kind != "digon":
         raise MoveError(f"faces {f1},{f2} are not both digons")
-    builder = MutableDiagram.from_diagram(diagram)
-    fid = merge_faces_along(builder, d1)
-    out = builder.to_diagram()
-    out_fi = sorted(builder.faces).index(fid)
+    out = Diagram.from_tables(merge_faces_along(diagram, d1)[0])
+    out_fi = len(out.face_darts) - 1
     merged = classify_face(out, pres, out_fi)
     if merged.kind == "digon":
         word = merged.digon_word
@@ -214,44 +177,36 @@ def merge_digons(diagram: Diagram, pres: RelPresentation, edge_index: int
     return out, word, out_fi
 
 
-def collapse_trivial_bigon(builder: MutableDiagram, fid: int) -> None:
+def collapse_trivial_bigon(t: MapTables, fid: int) -> None:
     """Remove a two-sided face with trivial corners, fusing its edges."""
-    slots = builder.faces[fid]
-    if len(slots) != 2:
+    darts = t.face_darts[fid]
+    if len(darts) != 2:
         raise MoveError("not a bigon")
-    a, b = slots
-    if not (a.corner.is_identity() and b.corner.is_identity()):
+    a, b = darts
+    if not (t.head_corner[a].is_identity() and t.head_corner[b].is_identity()):
         raise MoveError("bigon corners are not trivial")
-    if a.mark or b.mark:
-        # allowed when the marked vertex keeps other (marked) corners
-        if any(len(orbit) == 1 and orbit[0] in (a, b) for orbit in builder.vertex_slots()):
-            raise MoveError("collapse would delete a marked vertex")
-    la = builder.edge_label(a.dart)
-    lb = builder.edge_label(b.dart)
-    if la != lb:
+    pa, pb = t.pairing[a], t.pairing[b]
+    # a corner of the bigon is a whole vertex only when the bigon is glued
+    # to itself; a marked vertex that keeps other corners survives
+    if (a in t.marked_darts or b in t.marked_darts) and pa == b:
+        raise MoveError("collapse would delete a marked vertex")
+    identity = a in t.identity_darts
+    if identity != (b in t.identity_darts):
         raise MoveError("bigon sides carry different labels")
-    pa = builder.pairing[a.dart]
-    pb = builder.pairing[b.dart]
-    keep_arrow = None
-    if pa in builder.arrow:
-        keep_arrow = pa
-    elif pb in builder.arrow:
-        keep_arrow = pb
-    builder.unpair(a.dart)
-    if pa == b.dart:
-        # the bigon was glued to itself: an isolated sphere component
-        del builder.faces[fid]
-        return
-    builder.unpair(b.dart)
-    del builder.faces[fid]
-    builder.pair(pa, pb, label=la, arrow=keep_arrow if keep_arrow is not None else pa)
+    keep_arrow = pb if pa not in t.arrow_darts and pb in t.arrow_darts else pa
+    _unpair(t, a)
+    if pa != b:
+        # otherwise the bigon was glued to itself: an isolated sphere component
+        _unpair(t, b)
+        _pair(t, pa, pb, identity=identity, arrow=keep_arrow)
+    _drop_face(t, fid)
 
 
-def _collapse_new_trivial_bigons(builder: MutableDiagram, candidates: list[int]) -> None:
+def _collapse_new_trivial_bigons(t: MapTables, candidates: list[int]) -> None:
     for fid in candidates:
-        if fid in builder.faces:
+        if t.face_darts[fid] is not None:
             try:
-                collapse_trivial_bigon(builder, fid)
+                collapse_trivial_bigon(t, fid)
             except MoveError:
                 pass
 
@@ -280,130 +235,91 @@ def pull_identity_edge(diagram: Diagram, edge_index: int) -> PullResult:
         raise MoveError("edge label is not the identity")
     f1, i1 = diagram.slot_of_dart[d1]
     f2, i2 = diagram.slot_of_dart[d2]
-    builder = MutableDiagram.from_diagram(diagram)
-    mono = [(f, i) for f, i in ((f1, i1), (f2, i2)) if len(diagram.faces[f]) == 1]
+    t = diagram.tables()
+    mono = [(f, i) for f, i in ((f1, i1), (f2, i2)) if len(diagram.face_darts[f]) == 1]
     if mono:
         # an identity loop bounding a monogon: the enclosed disk vanishes
         if len(mono) == 2:
             raise MoveError("identity edge bounds only monogons; nothing to keep")
         (fm, im) = mono[0]
         (fo, io) = (f2, i2) if fm == f1 else (f1, i1)
-        gone = builder.faces[fm][im]
-        if not gone.corner.is_identity() or gone.mark:
+        gone = diagram.face_darts[fm][im]
+        if not diagram.head_corner[gone].is_identity() or gone in diagram.marked_darts:
             raise MoveError("monogon corner is not disposable")
-        builder.unpair(d1)
-        del builder.faces[fm]
-        _remove_slot_merge_back(builder, fo, io)
-        _collapse_new_trivial_bigons(builder, [fo])
-        return PullResult("contracted", (builder.to_diagram(),))
+        _unpair(t, d1)
+        _drop_face(t, fm)
+        _drop_slot(t, fo, io)
+        _collapse_new_trivial_bigons(t, [fo])
+        return PullResult("contracted", (Diagram.from_tables(t),))
     if diagram.head(d1) != diagram.tail(d1):
-        if f1 == f2 and len(diagram.faces[f1]) == 2:
-            return _drop_edgeless_sphere(builder, f1)
-        builder.unpair(d1)
+        if f1 == f2 and len(diagram.face_darts[f1]) == 2:
+            return _drop_edgeless_sphere(t, f1)
+        _unpair(t, d1)
         # the later slot first, so the earlier index stays valid in one face
         for f, i in sorted(((f1, i1), (f2, i2)), reverse=True):
-            _remove_slot_merge_back(builder, f, i)
-        _collapse_new_trivial_bigons(builder, [f1, f2])
-        return PullResult("contracted", (builder.to_diagram(),))
+            _drop_slot(t, f, i)
+        _collapse_new_trivial_bigons(t, [f1, f2])
+        return PullResult("contracted", (Diagram.from_tables(t),))
     if f1 == f2:
         # a loop separates a sphere, so its two sides lie in distinct faces
         raise MoveError("identity loop has one face on both sides; it does not separate "
                         "the diagram")
-    return _pull_loop(diagram, builder, d1, d2)
+    return _pull_loop(diagram, t, d1, d2)
 
 
-def _drop_edgeless_sphere(builder: MutableDiagram, fid: int) -> PullResult:
+def _drop_edgeless_sphere(t: MapTables, fid: int) -> PullResult:
     """Contracting the one edge of a face glued to itself leaves a sphere
     with no edges; drop it when its one vertex label is trivial."""
-    first, second = builder.faces[fid]
-    label = first.corner * second.corner
+    first, second = t.face_darts[fid]
+    label = t.head_corner[first] * t.head_corner[second]
     if not label.is_identity():
         raise MoveError(f"contraction leaves an edgeless sphere with label {label}")
-    if fid in builder.exterior_faces:
+    if fid in t.exterior_faces:
         raise MoveError("contraction would drop the exterior face")
-    builder.unpair(first.dart)
-    del builder.faces[fid]
-    builder.exterior_faces.discard(fid)
-    return PullResult("discarded", (builder.to_diagram(),))
+    _drop_face(t, fid)
+    return PullResult("discarded", (Diagram.from_tables(t),))
 
 
-def _pull_loop(diagram: Diagram, builder: MutableDiagram, d1: int, d2: int) -> PullResult:
-    """Split along an identity loop whose sides lie in distinct faces."""
-    builder.unpair(d1)
-    pinch_corners: list[MSlot] = []
+def _pull_loop(diagram: Diagram, t: MapTables, d1: int, d2: int) -> PullResult:
+    """Split along an identity loop whose sides lie in distinct faces.
+
+    The split map is built whole, then each side is a copy of its tables
+    without the other component's faces."""
+    _unpair(t, d1)
+    pinches = []            # per loop dart, the dart whose corner takes its place
     for dart in (d1, d2):
         fid, si = diagram.slot_of_dart[dart]
-        pinch_corners.append(builder.faces[fid][si - 1])
-        _remove_slot_merge_back(builder, fid, si)
-
-    comps = _split_components(builder)
+        pinches.append(t.face_darts[fid][si - 1])
+        _drop_slot(t, fid, si)
+    whole = Diagram.from_tables(t)
+    comps = whole.components()
     if len(comps) != 2:
         raise MoveError(f"identity loop did not separate (got {len(comps)} components)")
 
-    def has_marks(b: MutableDiagram) -> bool:
-        return any(s.mark for slots in b.faces.values() for s in slots)
+    def side(comp, pinch: int | None = None) -> Diagram:
+        part = whole.tables()
+        for f in range(len(whole.face_darts)):
+            if f not in comp:
+                _drop_face(part, f)
+        if pinch is not None:
+            part.marked_darts.add(pinch)
+        return Diagram.from_tables(part)
 
-    def pinch_label(b: MutableDiagram, corner: MSlot) -> FPWord:
-        orbit = next(o for o in b.vertex_slots() if any(s is corner for s in o))
-        out = b.ambient.one()
-        for s in orbit:
-            out = out * s.corner
-        return out
-
-    sides = []
-    for comp in comps:
-        corner = next(c for c in pinch_corners
-                      if any(c in slots for slots in comp.faces.values()))
-        sides.append((comp, corner))
-    marked = [has_marks(c) for c, _ in sides]
+    sides = [(comp, next(p for p in pinches if whole.slot_of_dart[p][0] in comp))
+             for comp in comps]
+    labels = [whole.vertex_label(whole.head(pinch)) for _, pinch in sides]
+    marked = [any(whole.slot_of_dart[d][0] in comp for d in whole.marked_darts)
+              for comp, _ in sides]
     if all(marked):
-        labels = tuple(pinch_label(comp, corner) for comp, corner in sides)
-        for _, corner in sides:
-            corner.mark = True
-        return PullResult("split", tuple(c.to_diagram() for c, _ in sides), labels)
-    keep, drop = (sides[0], sides[1]) if marked[0] else (sides[1], sides[0])
-    if drop[0].exterior_faces:
+        return PullResult("split", tuple(side(*s) for s in sides), tuple(labels))
+    keep, drop = (0, 1) if marked[0] else (1, 0)
+    if any(f in whole.exterior_faces for f in sides[drop][0]):
         raise MoveError("identity loop would discard the component with the exterior face")
-    drop_label = pinch_label(*drop)
-    if not drop_label.is_identity():
+    if not labels[drop].is_identity():
         raise MoveError(
-            f"discarded component has nontrivial pinch label {drop_label}; "
+            f"discarded component has nontrivial pinch label {labels[drop]}; "
             "cannot certify it inside the base free product")
-    return PullResult("discarded", (keep[0].to_diagram(),), (pinch_label(*keep),))
-
-
-def _split_components(builder: MutableDiagram) -> list[MutableDiagram]:
-    fids = sorted(builder.faces)
-    index = {s.dart: i for i, fid in enumerate(fids) for s in builder.faces[fid]}
-    groups = components(len(fids), ((index[da], index[db])
-                                    for da, db in builder.pairing.items()))
-    out = []
-    for group in groups:
-        members = [fids[i] for i in group]
-        part = MutableDiagram(builder.ambient)
-        part.face_memo = builder.face_memo
-        part._next_dart = builder._next_dart
-        part._next_face = builder._next_face
-        for f in members:
-            part.faces[f] = builder.faces[f]
-            if f in builder.exterior_faces:
-                part.exterior_faces.add(f)
-        darts = {s.dart for f in members for s in part.faces[f]}
-        part.pairing = {d: e for d, e in builder.pairing.items() if d in darts}
-        part.arrow = {d for d in builder.arrow if d in darts}
-        part.label = {k: v for k, v in builder.label.items() if set(k) <= darts}
-        out.append(part)
-    return out
-
-
-# -- builder-level label helper --------------------------------------------
-
-
-def _builder_face_label(builder: MutableDiagram, fid: int) -> TWord:
-    slots = builder.faces[fid]
-    senses = [(1 if s.dart in builder.arrow else -1) if builder.edge_label(s.dart) == "t"
-              else 0 for s in slots]
-    return label_from(builder.ambient, [s.corner for s in slots], senses)
+    return PullResult("discarded", (side(sides[keep][0]),), (labels[keep],))
 
 
 # -- hole filling ----------------------------------------------------------
@@ -426,50 +342,49 @@ def fill_hole(diagram: Diagram, pres: RelPresentation, edge_index: int) -> Diagr
         if classify_face(diagram, pres, f).kind != "large":
             raise MoveError("reducible pair is not a pair of large faces; "
                             "digon pairs go through merge_digons")
-    L = len(diagram.faces[f1])
-    if len(diagram.faces[f2]) != L:
+    L = len(diagram.face_darts[f1])
+    if len(diagram.face_darts[f2]) != L:
         raise MoveError("mirror faces of different length cannot be reducible")
     d1, _d2 = diagram.edges[edge_index]
     if diagram.slot_of_dart[d1][0] != f1:
         d1 = _d2
-    builder = MutableDiagram.from_diagram(diagram)
-    hole = merge_faces_along(builder, d1)
-    label = _builder_face_label(builder, hole).cyclic_free_reduce()
+    t, hole = merge_faces_along(diagram, d1)
+    corner = t.head_corner
+    darts = _remove_face(t, hole)
+    label = label_from(t.ambient, [corner[d] for d in darts],
+                       slot_senses(darts, t.arrow_darts, t.identity_darts)).cyclic_free_reduce()
     if not (isinstance(label, FPWord) and label.is_identity()):
         raise MoveError("hole label is not freely trivial (contract violation)")
-    slots = builder.faces[hole]
-    n_side = L - 1
-    part1 = slots[:n_side]
-    part2 = slots[n_side:]
-    if not part1[-1].corner.is_identity() or not part2[-1].corner.is_identity():
+    part1 = darts[:L - 1]
+    part2 = darts[L - 1:]
+    if not corner[part1[-1]].is_identity() or not corner[part2[-1]].is_identity():
         raise MoveError("seam corners of the hole are not trivial")
-    del builder.faces[hole]
     if L == 2:
         # the hole is already a trivial bigon
-        fid = builder.add_face([part1[0], part2[0]])
-        collapse_trivial_bigon(builder, fid)
-        return builder.to_diagram()
+        collapse_trivial_bigon(t, _add_face(t, [part1[0], part2[0]]))
+        return Diagram.from_tables(t)
     rung_u = {}
     rung_ubar = {}
     for j in range(1, L - 1):
-        rung_u[j] = builder.new_dart()
-        rung_ubar[j] = builder.new_dart()
-        builder.pair(rung_u[j], rung_ubar[j], label="1")
-    one = builder.ambient.one()
+        rung_u[j] = _new_dart(t)
+        rung_ubar[j] = _new_dart(t)
+        _pair(t, rung_u[j], rung_ubar[j], identity=True)
+    one = t.ambient.one()
     for j in range(1, L):
-        a_slot = part1[j - 1]            # (A_j, c_j) in walk order
-        b_slot = part2[L - 1 - j]        # (B_{L-j}, ...)
-        cells: list[MSlot] = [a_slot]
+        a = part1[j - 1]                 # (A_j, c_j) in walk order
+        b = part2[L - 1 - j]             # (B_{L-j}, ...)
+        cell = [a]
         if j <= L - 2:
-            c_j = a_slot.corner
-            cells.append(MSlot(rung_u[j], c_j.inv()))
+            corner[rung_u[j]] = corner[a].inv()
+            cell.append(rung_u[j])
         if j >= 2:
-            b_slot.corner = one
-        cells.append(b_slot)
+            corner[b] = one
+        cell.append(b)
         if j >= 2:
-            cells.append(MSlot(rung_ubar[j - 1], one))
-        builder.add_face(cells)
-    return builder.to_diagram()
+            corner[rung_ubar[j - 1]] = one
+            cell.append(rung_ubar[j - 1])
+        _add_face(t, cell)
+    return Diagram.from_tables(t)
 
 
 # -- reduction driver -------------------------------------------------------
@@ -560,11 +475,11 @@ def _next_move(d: Diagram, pres: RelPresentation) -> tuple[str, tuple[int, ...]]
     adj = digon_adjacencies(d, pres)
     if adj:
         return "merge_digons", min(d.edges[ei] for ei, _, _ in adj)
-    for fi, face in enumerate(d.faces):
+    for fi, face in enumerate(d.face_darts):
         if (fi not in d.exterior_faces and len(face) == 2
-                and all(s.corner.is_identity() for s in face)
-                and len({d.edge_label[d.edge_of_dart[s.dart]] for s in face}) == 1):
-            return "collapse_bigon", tuple(sorted(s.dart for s in face))
+                and all(d.head_corner[x].is_identity() for x in face)
+                and len({x in d.identity_darts for x in face}) == 1):
+            return "collapse_bigon", tuple(sorted(face))
     return None
 
 
@@ -574,8 +489,8 @@ def _apply(d: Diagram, pres: RelPresentation, move: str, darts: tuple[int, ...] 
     with ``pull`` pulls).  Returns the move's name in the trace, the
     diagrams that replace ``d`` and a split's pinch labels."""
     if move == "collapse_bigon":
-        fi = next((i for i, face in enumerate(d.faces)
-                   if tuple(sorted(s.dart for s in face)) == darts), None)
+        fi = next((i for i, face in enumerate(d.face_darts) if tuple(sorted(face)) == darts),
+                  None)
         if fi is None:
             raise MoveError(f"trace collapse_bigon darts {darts} are not a face")
     else:
@@ -594,9 +509,9 @@ def _apply(d: Diagram, pres: RelPresentation, move: str, darts: tuple[int, ...] 
         if not word.is_identity():
             return move, (d,), None
     # a trivial bigon, found by _next_move or left by two cancelling digons
-    builder = MutableDiagram.from_diagram(d)
-    collapse_trivial_bigon(builder, fi)
-    return move, (builder.to_diagram(),), None
+    t = d.tables()
+    collapse_trivial_bigon(t, fi)
+    return move, (Diagram.from_tables(t),), None
 
 
 def _check_input(diagram: Diagram, pres: RelPresentation) -> None:
@@ -621,7 +536,7 @@ def reduce_to_chain(diagram: Diagram, pres: RelPresentation,
     diagram that is not yet clean and records one trace entry.
     """
     _check_input(diagram, pres)
-    bound = step_factor * (len(diagram.faces) + len(diagram.edges) + 2)
+    bound = step_factor * (len(diagram.face_darts) + len(diagram.edges) + 2)
     chain: list[Diagram] = [diagram]
     entries: list[TraceEntry] = []
     steps = 0
@@ -723,48 +638,25 @@ def glue_cyclic_copies(diagram: Diagram, cut_path: list[int], s: int) -> GlueRes
     order_ok = label_a.pow(s).is_identity() and label_b.pow(s).is_identity()
 
     along = set(cut_path)
-    copies = s
 
     def did(d: int, j: int) -> int:
-        return d * copies + j
+        return d * s + j
 
-    faces = []
-    seeds = []
-    marked_refs = {ref for v in diagram.exterior_vertices for ref in diagram.vertices[v]}
-    for j in range(copies):
-        for fi, face in enumerate(diagram.faces):
-            slots = [Slot(did(sl.dart, j), sl.corner) for sl in face]
-            fid = len(faces)
-            faces.append(slots)
-            if not order_ok:
-                seeds.extend((fid, si) for si in range(len(face))
-                             if (fi, si) in marked_refs)
+    def copies(darts) -> set[int]:
+        return {did(d, j) for d in darts for j in range(s)}
+
+    # a path dart's copy j is glued to copy j + 1 of its partner
     pairing = {}
-    labels = {}
-    arrows = set()
     for d, e in diagram.pairing.items():
-        if d > e:
-            continue
-        ei = diagram.edge_of_dart[d]
-        lab = diagram.edge_label[ei]
-        arrow_dart = diagram.arrow_of_edge[ei]
-        if d in along or e in along:
-            da = d if d in along else e
-            db = diagram.pairing[da]
-            for j in range(copies):
-                jn = (j + 1) % copies
-                pairing[did(da, j)] = did(db, jn)
-                pairing[did(db, jn)] = did(da, j)
-                labels[frozenset((did(da, j), did(db, jn)))] = lab
-                arrows.add(did(arrow_dart, j if arrow_dart == da else jn))
-        else:
-            for j in range(copies):
-                pairing[did(d, j)] = did(e, j)
-                pairing[did(e, j)] = did(d, j)
-                labels[frozenset((did(d, j), did(e, j)))] = lab
-                arrows.add(did(arrow_dart, j))
-    out = Diagram(diagram.ambient, faces, pairing, arrows, labels,
-                  exterior_vertex_seeds=seeds)
+        shift = 1 if d in along else -1 if e in along else 0
+        for j in range(s):
+            pairing[did(d, j)] = did(e, (j + shift) % s)
+    out = Diagram.from_tables(MapTables(
+        diagram.ambient,
+        [[did(d, j) for d in face] for j in range(s) for face in diagram.face_darts],
+        {did(d, j): c for d, c in diagram.head_corner.items() for j in range(s)},
+        pairing, copies(diagram.arrow_darts), copies(diagram.identity_darts),
+        set() if order_ok else copies(diagram.marked_darts), set()))
     if not out.is_connected():
         raise MoveError("glued diagram is disconnected (internal error)")
     closed = order_ok and not out.exterior_vertices and not out.exterior_faces
@@ -790,7 +682,7 @@ def thicken(diagram: Diagram) -> Diagram:
     ext = ext_faces[0]
 
     ext_corner_count: dict[int, int] = {}
-    for si in range(len(diagram.faces[ext])):
+    for si in range(len(diagram.face_darts[ext])):
         v = diagram.vertex_of_corner[(ext, si)]
         ext_corner_count[v] = ext_corner_count.get(v, 0) + 1
     marked_vertices = {v for v, c in ext_corner_count.items() if c >= 2}
@@ -847,56 +739,32 @@ def thicken(diagram: Diagram) -> Diagram:
     if unused:
         raise MoveError("marked graph decomposition missed edges (cycle?)")
 
-    builder = MutableDiagram.from_diagram(diagram)
-    ext_slots = builder.faces[ext]
-    slot_of_dart = {s.dart: (fid, si) for fid, slots in builder.faces.items()
-                    for si, s in enumerate(slots)}
-
-    insert_before: dict[int, list[MSlot]] = {}
-    insert_after: dict[int, list[MSlot]] = {}
-    corner_swap: dict[int, FPWord] = {}
-
-    def ext_corner_after(dart: int) -> MSlot:
-        fid, si = slot_of_dart[dart]
-        assert fid == ext
-        return ext_slots[si]
-
+    t = diagram.tables()
+    insert_before: dict[int, list[int]] = {}
+    insert_after: dict[int, list[int]] = {}
     # polygons at interior branch points; the dart of the ring side awaiting
     # its strip, per (vertex, leaving dart)
     pending: dict[tuple[int, int], int] = {}
     ngon_vertices = [v for v in sorted(incident) if vertex_class(v) == "ngon"]
     for p in ngon_vertices:
-        _build_polygon(diagram, builder, ext, p, pending)
+        _build_polygon(diagram, t, ext, p, pending)
 
     for steps in paths:
-        _build_strip(diagram, builder, ext, steps, pending,
-                     insert_before, insert_after, corner_swap,
-                     vertex_class, ext_corner_after)
-    assert not pending, "unconsumed polygon caps"
+        _build_strip(diagram, t, steps, pending, insert_before, insert_after, vertex_class)
 
     # isolated pinch points (no marked edges) split along an identity edge
     isolated = sorted(v for v in marked_vertices
                       if v not in incident and vertex_class(v) == "pinch"
                       and v not in diagram.exterior_vertices)
     for v in isolated:
-        _split_pinch(diagram, builder, ext, v, insert_after, ext_corner_after)
+        _split_pinch(diagram, t, ext, v, insert_after)
 
-    new_ext = []
-    for s_ in ext_slots:
-        for item in insert_before.get(s_.dart, []):
-            new_ext.append(item)
-        if s_.dart in corner_swap:
-            new_ext.append(MSlot(s_.dart, corner_swap[s_.dart], False))
-        else:
-            new_ext.append(s_)
-        for item in insert_after.get(s_.dart, []):
-            new_ext.append(item)
-    builder.faces[ext] = new_ext
-    return builder.to_diagram()
+    t.face_darts[ext] = [x for d in diagram.face_darts[ext]
+                         for x in (*insert_before.get(d, ()), d, *insert_after.get(d, ()))]
+    return Diagram.from_tables(t)
 
 
-def _build_polygon(diagram: Diagram, builder: MutableDiagram, ext: int,
-                   p: int, pending: dict) -> None:
+def _build_polygon(diagram: Diagram, t: MapTables, ext: int, p: int, pending: dict) -> None:
     """Replace an interior branch point by a ring of trivial cells.
 
     One outer vertex per exterior corner at the point; the ring sides
@@ -908,36 +776,29 @@ def _build_polygon(diagram: Diagram, builder: MutableDiagram, ext: int,
     corners = [diagram.corner(ref) for ref in orbit]
     # side_j sits between outer vertices u_{j-1} and u_j and carries the
     # edge-end arriving between exterior corners r_{j-1} and r_j
-    side_inner = [builder.new_dart() for _ in range(n)]
-    side_outer = [builder.new_dart() for _ in range(n)]
-    spoke_out = [builder.new_dart() for _ in range(n)]
-    spoke_in = [builder.new_dart() for _ in range(n)]
+    side_inner = [_new_dart(t) for _ in range(n)]
+    side_outer = [_new_dart(t) for _ in range(n)]
+    spoke_out = [_new_dart(t) for _ in range(n)]
+    spoke_in = [_new_dart(t) for _ in range(n)]
     for j in range(n):
-        builder.pair(side_inner[j], side_outer[j], label="1")
-        builder.pair(spoke_out[j], spoke_in[j], label="1")
+        _pair(t, side_inner[j], side_outer[j], identity=True)
+        _pair(t, spoke_out[j], spoke_in[j], identity=True)
     # cell_j walk: z -> u_j (spoke_out j), u_j -> u_{j-1} (side_j inner),
     # u_{j-1} -> z (spoke_in j-1)
     x = [diagram.ambient.one()] * n
     for j in range(n - 1):
         x[j + 1] = x[j] * corners[j]
     for j in range(n):
-        builder.add_face([
-            MSlot(spoke_out[j], x[j]),
-            MSlot(side_inner[j], x[j].inv()),
-            MSlot(spoke_in[(j - 1) % n], diagram.ambient.one()),
-        ])
+        _add_cell(t, [(spoke_out[j], x[j]), (side_inner[j], x[j].inv()),
+                      (spoke_in[(j - 1) % n], diagram.ambient.one())])
     # the leaving dart between corners r_{j-1} and r_j gets cap side_j
-    for j in range(n):
-        ref = orbit[j]
-        fi, si = ref
-        leaving = diagram.faces[ext][(si + 1) % len(diagram.faces[ext])].dart
-        pending[(p, leaving)] = side_outer[(j + 1) % n]
+    ext_darts = diagram.face_darts[ext]
+    for j, (_, si) in enumerate(orbit):
+        pending[(p, ext_darts[(si + 1) % len(ext_darts)])] = side_outer[(j + 1) % n]
 
 
-def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
-                 steps: list[int], pending: dict,
-                 insert_before: dict, insert_after: dict,
-                 corner_swap: dict, vertex_class, ext_corner_after) -> None:
+def _build_strip(diagram: Diagram, t: MapTables, steps: list[int], pending: dict,
+                 insert_before: dict, insert_after: dict, vertex_class) -> None:
     """Duplicate a doubly-exterior path into a two-cell strip.
 
     Each edge copy pair encloses two trivial-label triangles split by a
@@ -946,8 +807,8 @@ def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
     an identity cap edge on the exterior walk; polygon ends consume the
     pending ring side; leaf tips close the strip with a bigon cell.
     """
-    amb = diagram.ambient
-    one = amb.one()
+    one = diagram.ambient.one()
+    corner = t.head_corner
     k = len(steps)
 
     v_start = diagram.tail(steps[0])
@@ -961,24 +822,28 @@ def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
     # start cap dart for T2_1 (head = start's R side), if any
     cap_start = None
     if start_kind == "pinch":
-        g0 = builder.new_dart()
-        ubar0 = builder.new_dart()
-        builder.pair(g0, ubar0, label="1")
-        insert_before.setdefault(dA[0], []).append(MSlot(g0, one))
+        g0 = _new_dart(t)
+        ubar0 = _new_dart(t)
+        _pair(t, g0, ubar0, identity=True)
+        corner[g0] = one
+        insert_before.setdefault(dA[0], []).append(g0)
         cap_start = ubar0
     elif start_kind == "ngon":
         cap_start = pending.pop((v_start, dA[0]))
     # end cap dart for T1_k (head = end's L side), if any
     cap_end = None
     if end_kind == "pinch":
-        gk = builder.new_dart()
-        uk = builder.new_dart()
-        builder.pair(gk, uk, label="1")
-        old = ext_corner_after(dA[-1])
-        moved = MSlot(gk, old.corner, old.mark)
-        corner_swap[dA[-1]] = one
-        old.mark = False
-        insert_after.setdefault(dA[-1], []).append(moved)
+        gk = _new_dart(t)
+        uk = _new_dart(t)
+        _pair(t, gk, uk, identity=True)
+        # the corner after the path, and its mark, move past the cap edge
+        last = dA[-1]
+        corner[gk] = corner[last]
+        corner[last] = one
+        if last in t.marked_darts:
+            t.marked_darts.discard(last)
+            t.marked_darts.add(gk)
+        insert_after.setdefault(last, []).append(gk)
         cap_end = uk
     elif end_kind == "ngon":
         cap_end = pending.pop((v_end, dB[-1]))
@@ -987,50 +852,44 @@ def _build_strip(diagram: Diagram, builder: MutableDiagram, ext: int,
     rung_u = {}
     rung_ubar = {}
     for i in range(1, k):
-        rung_u[i] = builder.new_dart()
-        rung_ubar[i] = builder.new_dart()
-        builder.pair(rung_u[i], rung_ubar[i], label="1")
+        rung_u[i] = _new_dart(t)
+        rung_ubar[i] = _new_dart(t)
+        _pair(t, rung_u[i], rung_ubar[i], identity=True)
 
-    x_in = [builder.new_dart() for _ in range(k)]   # inner darts of top copies
-    y_in = [builder.new_dart() for _ in range(k)]   # inner darts of bottom copies
-    w = [builder.new_dart() for _ in range(k)]      # diagonals, top cell side
-    wbar = [builder.new_dart() for _ in range(k)]
+    x_in = [_new_dart(t) for _ in range(k)]   # inner darts of top copies
+    y_in = [_new_dart(t) for _ in range(k)]   # inner darts of bottom copies
+    w = [_new_dart(t) for _ in range(k)]      # diagonals, top cell side
+    wbar = [_new_dart(t) for _ in range(k)]
 
     for i in range(k):
-        was_arrow = dA[i] in builder.arrow
-        builder.unpair(dA[i])
-        builder.pair(dA[i], x_in[i], label="t",
-                     arrow=dA[i] if was_arrow else x_in[i])
-        builder.pair(dB[i], y_in[i], label="t",
-                     arrow=dB[i] if not was_arrow else y_in[i])
-        builder.pair(w[i], wbar[i], label="t",
-                     arrow=w[i] if was_arrow else wbar[i])
+        was_arrow = dA[i] in t.arrow_darts
+        _unpair(t, dA[i])
+        _pair(t, dA[i], x_in[i], arrow=dA[i] if was_arrow else x_in[i])
+        _pair(t, dB[i], y_in[i], arrow=dB[i] if not was_arrow else y_in[i])
+        _pair(t, w[i], wbar[i], arrow=w[i] if was_arrow else wbar[i])
 
     comp = [one] * (k + 1)
     for i in range(1, k):
-        comp[i] = ext_corner_after(dA[i - 1]).corner
+        comp[i] = corner[dA[i - 1]]
 
     for i in range(1, k + 1):
         # top triangle T1_i: x_i, w_i, u_i
-        t1 = [MSlot(x_in[i - 1], one),
-              MSlot(w[i - 1], comp[i] if i < k else one)]
+        t1 = [(x_in[i - 1], one), (w[i - 1], comp[i] if i < k else one)]
         if i < k:
-            t1.append(MSlot(rung_u[i], comp[i].inv()))
+            t1.append((rung_u[i], comp[i].inv()))
         elif cap_end is not None:
-            t1.append(MSlot(cap_end, one))
-        builder.add_face(t1)
+            t1.append((cap_end, one))
+        _add_cell(t, t1)
         # bottom triangle T2_i: y_i, wbar_i, ubar_{i-1}
-        t2 = [MSlot(y_in[i - 1], one),
-              MSlot(wbar[i - 1], one)]
+        t2 = [(y_in[i - 1], one), (wbar[i - 1], one)]
         if i > 1:
-            t2.append(MSlot(rung_ubar[i - 1], one))
+            t2.append((rung_ubar[i - 1], one))
         elif cap_start is not None:
-            t2.append(MSlot(cap_start, one))
-        builder.add_face(t2)
+            t2.append((cap_start, one))
+        _add_cell(t, t2)
 
 
-def _split_pinch(diagram: Diagram, builder: MutableDiagram, ext: int,
-                 v: int, insert_after: dict, ext_corner_after) -> None:
+def _split_pinch(diagram: Diagram, t: MapTables, ext: int, v: int, insert_after: dict) -> None:
     """Separate an interior pinch point along a fresh identity edge.
 
     The two exterior visits split the corner cycle into two interior
@@ -1050,13 +909,14 @@ def _split_pinch(diagram: Diagram, builder: MutableDiagram, ext: int,
     d_b = diagram.ambient.one()
     for fi, si in arc_after_1:
         d_b = d_b * diagram.corner((fi, si))
-    ga = builder.new_dart()
-    gb = builder.new_dart()
-    builder.pair(ga, gb, label="1")
-    dart1 = diagram.faces[ext][ref1[1]].dart
-    dart2 = diagram.faces[ext][ref2[1]].dart
-    slot2 = ext_corner_after(dart2)
-    x_b = slot2.corner
-    slot2.corner = d_b.inv()
-    insert_after.setdefault(dart1, []).append(MSlot(ga, diagram.ambient.one()))
-    insert_after.setdefault(dart2, []).append(MSlot(gb, d_b * x_b))
+    ga = _new_dart(t)
+    gb = _new_dart(t)
+    _pair(t, ga, gb, identity=True)
+    dart1 = diagram.face_darts[ext][ref1[1]]
+    dart2 = diagram.face_darts[ext][ref2[1]]
+    x_b = t.head_corner[dart2]
+    t.head_corner[dart2] = d_b.inv()
+    t.head_corner[ga] = diagram.ambient.one()
+    t.head_corner[gb] = d_b * x_b
+    insert_after.setdefault(dart1, []).append(ga)
+    insert_after.setdefault(dart2, []).append(gb)

@@ -322,12 +322,16 @@ def minimize(pres: RelPresentation, max_moves: int = 10000) -> RelPresentation:
             nxt = eliminate_top_copy(pres)
         if nxt is None:
             break
-        assert (nxt.s, nxt.m) < (pres.s, pres.m), "move failed to decrease (s, m)"
+        if (nxt.s, nxt.m) >= (pres.s, pres.m):
+            raise RewriteError("minimization move failed to decrease (s, m) "
+                               "(internal inconsistency)")
         pres = nxt
         moves += 1
         if moves > max_moves:
             raise RewriteError("minimization move bound exceeded (internal inconsistency)")
-    assert pres.inner_word().free_reduce().exponent_sum() == 1
+    if pres.inner_word().free_reduce().exponent_sum() != 1:
+        raise RewriteError("minimized inner word has t-exponent sum other than 1 "
+                           "(internal inconsistency)")
     return pres
 
 

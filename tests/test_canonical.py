@@ -21,9 +21,10 @@ from relpres.moves import MoveTrace, reduce_to_chain, replay_trace, thicken
 from relpres.presentation import minimize
 from relpres.search import EnumerationConfig, brute_force_enumerate, enumerate_diagrams
 
-from fixtures import (S3, Z3, Z5, degenerate_digon, digon_chain, dumbbell, loop_split_sphere,
-                      mirror_large_pair, path_sphere, pinch_pair, pres_s3, pres_z3,
-                      theta_digons)
+from fixtures import (S3, Z3, Z5, degenerate_digon, digon_chain, disjoint_digons, dumbbell,
+                      genus_gluing, loop_split_sphere, looped_pinch_pair, mirror_large_pair,
+                      path_sphere, pinch_pair, pres_s3, pres_z3, random_closed_map,
+                      square_torus, theta_digons, tripod)
 
 PRES = pres_z3(2)
 X = PRES.ambient.from_name("x")
@@ -98,6 +99,51 @@ def _move_fixtures():
            (thicken(dumbbell(PRES, X, Y, [X, Y, X])), PRES),
            (theta_digons(PRES, X, Y), PRES), (digon_chain(PRES, [X, Y, X]), PRES),
            (pinch_pair(PRES, X, Y), PRES), (path_sphere(Z3, 1, [X, Y], 3), PRES)]
+
+
+class TestTableCopy:
+    """``Diagram.from_tables`` of an unedited ``tables()`` copy, the
+    conversion every move goes through, gives back the same diagram."""
+
+    @staticmethod
+    def _same(d: Diagram) -> None:
+        again = Diagram.from_tables(d.tables())
+        assert again.to_dict() == d.to_dict()
+        assert again.exterior_vertices == d.exterior_vertices
+        assert again.face_memo is d.face_memo
+        if d.is_connected():
+            assert again.canonical_form() == d.canonical_form()
+
+    def test_fixture_diagrams(self):
+        rng = random.Random(11)
+        diagrams = [d for d, _ in _move_fixtures()] + [
+            tripod(Z3, 1), thicken(tripod(Z3, 1)), looped_pinch_pair(PRES, X, Y),
+            looped_pinch_pair(PRES, X, Y, balloon=True), disjoint_digons(PRES, X, Y),
+            square_torus(Z3), genus_gluing(Z3, 4, 1), random_closed_map(rng, Z3, 6),
+            _connected_map(rng, Z5, 12)]
+        for d in diagrams:
+            self._same(d)
+
+    def test_reduction_diagrams(self):
+        checked = 0
+        for d, pres in _move_fixtures():
+            chain, trace = reduce_to_chain(d, pres)
+            for n in range(1, len(trace.entries) + 1):
+                for x in replay_trace(d, pres, MoveTrace(trace.entries[:n])).diagrams:
+                    self._same(x)
+                    checked += 1
+        assert checked > 20
+
+    def test_the_copy_is_independent(self):
+        d = thicken(dumbbell(PRES, X, Y, [X]))
+        before = d.to_dict()
+        t = d.tables()
+        t.face_darts[0].reverse()
+        t.head_corner.clear()
+        t.pairing.clear()
+        for table in (t.arrow_darts, t.identity_darts, t.marked_darts, t.exterior_faces):
+            table.clear()
+        assert d.to_dict() == before
 
 
 def _connected_map(rng: random.Random, group, faces: int) -> Diagram:
@@ -264,4 +310,4 @@ class TestMemo:
                   _connected_map(rng, Z5, 12)):
             form = d.canonical_form()
             assert Diagram.from_dict(d.to_dict()).canonical_form() == form
-            assert Diagram.from_json(d.to_json()).canonical_form() == form
+            assert Diagram.from_dict(json.loads(json.dumps(d.to_dict()))).canonical_form() == form

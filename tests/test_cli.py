@@ -197,6 +197,19 @@ class TestDiagram:
         assert "step bound" in doc["result"]["error"]
         assert doc["manifest"]["exit_status"] == 3
 
+    @pytest.mark.parametrize("key", ["x", "00", " 0", "+0", "0_0", "-0"])
+    @pytest.mark.parametrize("field", ["edge_dir", "edge_labels"])
+    def test_validate_names_a_key_that_is_not_an_edge_index(self, capsys, tmp_path, field, key):
+        # only "0" names edge 0; other spellings would let two keys name one edge
+        with open(fixture("degenerate_digon_z3.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        data[field] = {key: 0}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, doc = run(capsys, "diagram", "validate", "--in", str(path))
+        assert code == 2
+        assert doc == {"error": f"field {field!r} key {key!r} is not an edge index"}
+
     def test_reduce_refuses_a_diagram_over_another_ambient(self, capsys, tmp_path):
         # two_onegons.json has s = 0, pres_z3_k2.json has s = 1
         code, doc = run(capsys, "diagram", "reduce", "--in", fixture("two_onegons.json"),

@@ -50,7 +50,7 @@ class TestPrefixTrace:
     def test_h_word_single_entry(self):
         u = parse_word("x x@1", AMB)
         out = prefix_trace(u, X0)
-        assert out.succeeded and len(out.conjugate_trace) == 1
+        assert out.status != "stuck" and len(out.conjugate_trace) == 1
         assert out.conjugate_trace[0] == X0.conj(u.h_value())
 
     def test_single_t(self):
@@ -67,7 +67,7 @@ class TestPrefixTrace:
     def test_replay_property(self):
         u = parse_word("x t x@1 t^-1 y", AMB)
         out = prefix_trace(u, X0)
-        assert out.succeeded
+        assert out.status != "stuck"
         letters = []
         red = u.free_reduce()
         for i, seg in enumerate(red.segments):

@@ -309,8 +309,8 @@ class TestSerializationAndCanonical:
         pres = pres_z3(2)
         d = theta_digons(pres, pres.ambient.from_name("x"),
                          pres.ambient.from_name("y"))
-        d2 = Diagram.from_json(d.to_json())
-        assert d2.to_json() == d.to_json()
+        d2 = Diagram.from_dict(d.to_dict())
+        assert d2.to_dict() == d.to_dict()
         assert d2.chi == d.chi and d2.exterior_vertices == d.exterior_vertices
 
     def test_canonical_invariant_under_relabeling(self):

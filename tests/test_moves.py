@@ -5,7 +5,7 @@ import pytest
 from relpres.diagram import (Diagram, DiagramError, Slot, classify_face, reducible_pairs,
                              validate_howie)
 from relpres.freeprod import FreeProduct, conjugate_in_free_product
-from relpres.moves import (MoveError, MoveTrace, MutableDiagram, ReductionBoundExceeded,
+from relpres.moves import (MoveError, MoveTrace, ReductionBoundExceeded,
                            fill_hole, glue_cyclic_copies, merge_digons, merge_faces_along,
                            pull_identity_edge, reduce_to_chain, replay_trace, thicken)
 from fixtures import (Z3, degenerate_digon, digon_chain, disjoint_digons, dumbbell,
@@ -78,9 +78,11 @@ class TestMergeDigons:
     (lambda: Diagram(AMB, [[Slot(0, X)], [Slot(1, Y)]], {0: 1, 1: 0}, [0]), 0),
     (lambda: looped_pinch_pair(PRES, X, Y), 8)], ids=["two-monogons", "monogon-and-face"])
 def test_merge_faces_along_refuses_a_monogon(make, dart):
-    builder = MutableDiagram.from_diagram(make())
+    d = make()
+    before = d.to_dict()
     with pytest.raises(MoveError, match="monogon"):
-        merge_faces_along(builder, dart)
+        merge_faces_along(d, dart)
+    assert d.to_dict() == before
 
 
 class TestFillHole:
@@ -195,6 +197,20 @@ class TestPull:
         assert res.kind == "contracted"
         # the end cell becomes an edge: exactly one face disappears
         assert len(res.diagrams[0].faces) == len(t.faces) - 1
+
+    def test_contraction_keeps_the_mark_of_a_lone_corner(self):
+        # a path of two edges walked by one face; the identity edge ends at
+        # the tip, a marked vertex with one corner, which only the folded
+        # corner carries on; the bigon left is glued to itself and marked,
+        # so it must not collapse
+        one = AMB.one()
+        d = Diagram(AMB, [[Slot(0, one), Slot(1, one), Slot(2, one), Slot(3, one)]],
+                    {0: 3, 3: 0, 1: 2, 2: 1}, [0, 1], {(1, 2): "1"}, exterior_faces=[0],
+                    exterior_vertex_seeds=[(0, 1)])
+        res = pull_identity_edge(d, d.edge_of_dart[1])
+        (out,) = res.diagrams
+        assert res.kind == "contracted" and out.face_darts == ((0, 3),)
+        assert [out.vertices[v] for v in out.exterior_vertices] == [((0, 0),)]
 
     def test_loop_split(self):
         d = loop_split_sphere(PRES, X)

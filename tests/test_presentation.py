@@ -85,6 +85,14 @@ class TestMinimize:
             assert verify_conditions(p).all_ok, text
             assert cyclic_equal(back_substitute(p), w.pow(2)), text
 
+    def test_a_move_that_does_not_decrease_raises(self, monkeypatch):
+        # checked with RewriteError, not assert, so that it holds under -O
+        import relpres.presentation as presentation_mod
+        monkeypatch.setattr(presentation_mod, "_apply_pair_absorption", lambda pres: pres)
+        p0 = initial_rewrite(Z3, parse_word("x t y t^-1 x t", BASE3), 2)
+        with pytest.raises(RewriteError, match="decrease"):
+            minimize(p0)
+
     def test_never_touches_group(self):
         w = parse_word("x t y t^-1 x t", BASE3)
         p = minimize(initial_rewrite(Z3, w, 3))
