@@ -14,9 +14,12 @@ rewrite`` and ``verify`` of a 21 t-letter word; ``diagram reduce`` on
 both digon fixtures, on seven spheres from ``tests/fixtures.py`` that need
 pulls (a contraction, a split, a loop around a monogon, a discarded
 sphere), hole fills and digon merges, and on a 12-digon chain, with
-every chain file and the ``--trace`` file; ``diagram curvature --weights
-rule --audit`` on the first four-face survivor over ``pres_z3_k2`` that
-is not a degenerate digon (the weight rule does not apply to it); and
+every chain file and the ``--trace`` file; ``diagram validate --pres``
+and ``diagram curvature --weights uniform`` on each of those eight
+spheres, whose vertex counts and vertex curvatures in vertex order pin
+the vertex numbering; ``diagram curvature --weights rule --audit`` on
+the first four-face survivor over ``pres_z3_k2`` that is not a
+degenerate digon (the weight rule does not apply to it); and
 ``search enumerate`` at three faces and ``--brute-force`` at two faces on
 both ``pres_*`` fixtures, each with one and with two digon syllables (two
 syllables give many small multisets); ``search enumerate`` on two
@@ -28,12 +31,14 @@ checked in G * Z_k; a negative ``--digon-syllables`` and
 ``--max-syllables``, which are usage errors; six more usage errors:
 ``diagram reduce`` on two disjoint degenerate digons, one file per JSON
 loader with a field of the wrong type (a presentation, a diagram and a
-group table), a diagram whose ``edge_dir`` key is not an edge index, and two
-malformed ``diagram curvature --weights`` files (a list, and a float
-weight); and ``conjugacy oracle`` over Z/5 with k = 5
-at ten syllables, refused at the oracle's check bound with exit code 3
-(its 11,184,784 checks sit just above the bound, so a checkout without
-the bound still finishes the command).
+group table), a diagram whose ``edge_dir`` key is not an edge index, and
+two malformed ``diagram curvature --weights`` files (a list, and a float
+weight); ``diagram validate`` on the thickened dumbbell with its exterior
+vertices unmarked, whose ``interior vertex v`` failures name vertex
+indexes; and ``conjugacy oracle`` over Z/5 with k = 5 at ten syllables,
+refused at the oracle's check bound with exit code 3 (its 11,184,784
+checks sit just above the bound, so a checkout without the bound still
+finishes the command).
 Each line is ``<sha256>  <name>``, with the exit code after a command's
 name; compare two checkouts' lines with ``diff``.  A command that runs
 longer than TIMEOUT_S seconds is stopped and printed as ``<64 dashes>
@@ -158,8 +163,10 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
 def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
     """Write two disjoint copies of the degenerate digon fixture, one
     file per JSON loader with a field of the wrong type, a diagram with a
-    key that is not an edge index and two malformed weight files; returns
-    the commands that read them."""
+    key that is not an edge index, two malformed weight files and the
+    thickened dumbbell of ``sphere_inputs`` (which must run first) with its
+    exterior vertices unmarked, so that four of its twelve vertices fail
+    as interior; returns the commands that read them."""
     def load(path: str):
         with open(os.path.join(work, path), encoding="utf-8") as fh:
             return json.load(fh)
@@ -176,6 +183,8 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
             "bad_diagram.json": bad_digon, "bad_group.json": {"names": 5, "table": []},
             "bad_edge_key.json": dict(load(digon), edge_dir={"x": 0}),
             "weights_list.json": [1, 1], "weights_float.json": {"0,0": 0.1, "1,0": 1}}
+    unmarked = docs["unmarked_dumbbell.json"] = load("dumbbell.json")
+    unmarked["exterior"]["vertex_seeds"] = []
     for name, doc in docs.items():
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -184,6 +193,8 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
             ("bad-pres", ["conjugacy", "center", "--pres", "bad_pres.json"]),
             ("bad-diagram", ["diagram", "validate", "--in", "bad_diagram.json"]),
             ("bad-edge-key", ["diagram", "validate", "--in", "bad_edge_key.json"]),
+            ("unmarked-dumbbell", ["diagram", "validate", "--in", "unmarked_dumbbell.json",
+                                   "--pres", "dumbbell_pres.json"]),
             ("bad-group", ["word", "check", "--group", "bad_group.json", "--word", WORD]),
             ("bad-weights-list", ["diagram", "curvature", "--in", "fixtures/two_onegons.json",
                                   "--weights", "weights_list.json"]),
@@ -229,10 +240,16 @@ def main() -> None:
                           "--weights", "rule", "--pres", PRES[0], "--audit"]))
         reduced = [("digon-z3", "fixtures/degenerate_digon_z3.json", PRES[0]),
                    ("digon-z2", "fixtures/degenerate_digon_z2.json", PRES[1])]
-        for name, infile, pres in reduced + sphere_inputs(work):
+        spheres = sphere_inputs(work)
+        for name, infile, pres in reduced + spheres:
             commands.append((f"reduce-{name}", ["diagram", "reduce", "--in", infile, "--pres",
                                                 pres, "--out", f"chain-{name}",
                                                 "--trace", f"trace-{name}.json"]))
+        for name, infile, pres in spheres:
+            commands += [(f"validate-{name}", ["diagram", "validate", "--in", infile,
+                                               "--pres", pres]),
+                         (f"curvature-{name}", ["diagram", "curvature", "--in", infile,
+                                                "--weights", "uniform"])]
         commands += bad_inputs(work)
         for name, argv in commands:
             try:

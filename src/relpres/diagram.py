@@ -4,8 +4,9 @@ A diagram is a set of faces, each a cyclic sequence of slots; a slot is a
 pre-edge (dart) followed by the corner at its head.  Slots are listed
 anticlockwise around the face.  A perfect matching on darts glues faces
 with orientation reversal, so the resulting surface is closed and
-oriented by construction.  Vertices are never stored: they are orbits of
-the corner rotation derived from the pairing.
+oriented by construction.  Darts are the one address inside a diagram:
+vertices are the dart cycles of the corner rotation (``maps``), and the
+per-edge and per-slot views are read off the per-dart tables.
 
 Each edge carries a geometric arrow (one of its two darts traverses it
 along the arrow) and a label: the stable letter "t" or the identity "1"
@@ -191,14 +192,17 @@ class Diagram:
     ``MapTables``: ``face_darts``, ``head_corner``, ``pairing``,
     ``arrow_darts``, ``identity_darts``, ``marked_darts`` (every dart
     whose head corner lies on an exterior vertex) and ``exterior_faces``.
-    The combinatorial structure (edges, vertices) is computed up front;
-    ``faces`` is the slot view of the tables.  What depends on one face's
-    content alone is kept in a ``FaceRecord`` per face, made on first use;
-    the records are found in ``face_memo``, keyed by each slot's corner
-    letters and sense.  A diagram made by a move (``from_tables``) shares
-    the memo of the diagram the move started from, so along a chain of
-    moves each distinct face is read once.  The canonical form is
-    computed on first use and kept."""
+    Computed up front: ``vertices``, each the cycle of darts whose head
+    corners lie on it (``maps.vertex_cycles``), ``vertex_of_dart`` and
+    each dart's ``(face, slot)`` in ``slot_of_dart``.  The slot view
+    ``faces`` and the views by edge index (``edges``, ``edge_of_dart``,
+    ``arrow_of_edge``, ``edge_label``) are derived on first read.  What
+    depends on one face's content alone is kept in a ``FaceRecord`` per
+    face, made on first use; the records are found in ``face_memo``,
+    keyed by each slot's corner letters and sense.  A diagram made by a
+    move (``from_tables``) shares the memo of the diagram the move started
+    from, so along a chain of moves each distinct face is read once.  The
+    canonical form is computed on first use and kept."""
 
     def __init__(self,
                  ambient: FreeProduct,
@@ -255,8 +259,8 @@ class Diagram:
                          max(self.pairing, default=-1) + 1, self.face_memo)
 
     def _build(self, t: MapTables) -> None:
-        """Validate the tables and derive edges and vertices: the core of
-        both constructors.  Deleted faces drop out, the faces after them
+        """Validate the tables and derive the vertices: the core of both
+        constructors.  Deleted faces drop out, the faces after them
         move up, and the marks spread to every corner of a marked vertex."""
         self.ambient = t.ambient
         index: dict[int, int] = {}
@@ -283,44 +287,32 @@ class Diagram:
             raise DiagramError("the corner table and the faces name different darts")
         self.head_corner = t.head_corner
 
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(
-            [(d, e) for d, e in self.pairing.items() if d < e]))
-        arrows, identity = t.arrow_darts, t.identity_darts
-        self.edge_of_dart: dict[int, int] = {}
-        self.arrow_of_edge: dict[int, int] = {}
-        self.edge_label: dict[int, str] = {}
-        for ei, (d1, d2) in enumerate(self.edges):
-            self.edge_of_dart[d1] = self.edge_of_dart[d2] = ei
-            if d2 not in arrows:
-                self.arrow_of_edge[ei] = d1
-            elif d1 not in arrows:
-                self.arrow_of_edge[ei] = d2
-            else:
-                raise DiagramError(f"orientation conflict on edge {ei}: both darts marked")
-            self.edge_label[ei] = "1" if d1 in identity else "t"
+        arrows = t.arrow_darts
+        both = [d for d in arrows if self.pairing.get(d) in arrows]
+        if both:
+            raise DiagramError(f"orientation conflict on edge {self.edge_of_dart[min(both)]}: "
+                               "both darts marked")
         extra = arrows - self.pairing.keys()
         if extra:
             raise DiagramError(f"orientation conflict: arrow darts {sorted(extra)} unknown")
-        self.arrow_darts = frozenset(self.arrow_of_edge.values())
-        self.identity_darts = frozenset(identity)
+        # an edge with no arrow dart named gets its lower dart
+        self.arrow_darts = frozenset([d for d, e in self.pairing.items()
+                                      if d in arrows or (d < e and e not in arrows)])
+        self.identity_darts = frozenset(t.identity_darts)
 
         ext_faces = [index.get(f) for f in t.exterior_faces]
         if None in ext_faces:
             raise DiagramError("exterior face index out of range")
         self.exterior_faces = frozenset(ext_faces)
 
-        self.vertices: tuple[tuple[CornerRef, ...], ...] = tuple(
-            maps.corner_cycles(faces, self.pairing))
-        self.vertex_of_corner: dict[CornerRef, int] = {}
-        for vi, orbit in enumerate(self.vertices):
-            for ref in orbit:
-                self.vertex_of_corner[ref] = vi
-        self.exterior_vertices = frozenset(
-            [self.vertex_of_corner[self.slot_of_dart[d]] for d in t.marked_darts])
-        self.marked_darts = frozenset([faces[fi][si] for v in self.exterior_vertices
-                                       for fi, si in self.vertices[v]])
+        self.vertices = tuple(maps.vertex_cycles(faces, self.pairing))
+        self.vertex_of_dart: dict[int, int] = {
+            d: vi for vi, orbit in enumerate(self.vertices) for d in orbit}
+        self.exterior_vertices = frozenset([self.vertex_of_dart[d] for d in t.marked_darts])
+        self.marked_darts = frozenset([d for v in self.exterior_vertices
+                                       for d in self.vertices[v]])
 
-        self.chi = len(self.vertices) - len(self.edges) + len(faces)
+        self.chi = len(self.vertices) - len(self.pairing) // 2 + len(faces)
         if self.chi % 2 != 0:
             raise DiagramError(f"odd Euler characteristic {self.chi}")
         self._canonical: str | None = None
@@ -333,6 +325,28 @@ class Diagram:
         corner = self.head_corner
         return tuple(tuple([Slot(d, corner[d]) for d in darts]) for darts in self.face_darts)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's darts, lower first, in increasing order: edge ``i``
+        is ``edges[i]``."""
+        return tuple(sorted([(d, e) for d, e in self.pairing.items() if d < e]))
+
+    @cached_property
+    def edge_of_dart(self) -> dict[int, int]:
+        return {d: ei for ei, edge in enumerate(self.edges) for d in edge}
+
+    @cached_property
+    def arrow_of_edge(self) -> dict[int, int]:
+        """Per edge index, the dart that carries its arrow."""
+        return {ei: d1 if d1 in self.arrow_darts else d2
+                for ei, (d1, d2) in enumerate(self.edges)}
+
+    @cached_property
+    def edge_label(self) -> dict[int, str]:
+        """Per edge index, ``"1"`` on an identity edge and ``"t"`` else."""
+        return {ei: "1" if d1 in self.identity_darts else "t"
+                for ei, (d1, _) in enumerate(self.edges)}
+
     # -- structure ------------------------------------------------------
 
     def _validate_pairing(self) -> None:
@@ -342,21 +356,14 @@ class Diagram:
             if self.pairing.get(e) != d:
                 raise DiagramError(f"pairing is not an involution at dart {d}")
 
-    def corner(self, ref: CornerRef) -> FPWord:
-        return self.head_corner[self.face_darts[ref[0]][ref[1]]]
-
     def head(self, dart: int) -> int:
         """Vertex at the head of a dart."""
-        return self.vertex_of_corner[self.slot_of_dart[dart]]
+        return self.vertex_of_dart[dart]
 
     def tail(self, dart: int) -> int:
         """Vertex at the tail of a dart: the head of its face predecessor."""
         fi, si = self.slot_of_dart[dart]
-        return self.vertex_of_corner[(fi, (si - 1) % len(self.face_darts[fi]))]
-
-    def sense(self, dart: int) -> int:
-        """+1 when the face traversal follows the edge arrow."""
-        return 1 if dart in self.arrow_darts else -1
+        return self.vertex_of_dart[self.face_darts[fi][si - 1]]
 
     def components(self) -> list[frozenset[int]]:
         return [frozenset(c) for c in maps.components(len(self.face_darts), (
@@ -376,8 +383,8 @@ class Diagram:
         """Product of corner labels in the derived cyclic order (one
         representative of the conjugacy/cyclic-rotation class)."""
         out = self.ambient.one()
-        for ref in self.vertices[v]:
-            out = out * self.corner(ref)
+        for d in self.vertices[v]:
+            out = out * self.head_corner[d]
         return out
 
     def face_records(self) -> list[FaceRecord]:
@@ -404,17 +411,16 @@ class Diagram:
 
     # -- corner combinatorics ---------------------------------------------
 
-    def corner_type(self, ref: CornerRef) -> str:
-        fi, si = ref
-        face = self.face_darts[fi]
-        d_in = face[si]
-        d_out = face[(si + 1) % len(face)]
-        a = "+" if self.sense(d_in) == 1 else "-"
-        b = "+" if self.sense(d_out) == 1 else "-"
-        return a + b
+    def corner_type(self, dart: int) -> str:
+        """The senses of the darts into and out of the head corner of
+        ``dart``, as ``"+"`` or ``"-"`` each."""
+        fi, si = self.slot_of_dart[dart]
+        face, arrows = self.face_darts[fi], self.arrow_darts
+        out = face[(si + 1) % len(face)]
+        return ("+" if dart in arrows else "-") + ("+" if out in arrows else "-")
 
     def vertex_kind(self, v: int) -> str:
-        types = {self.corner_type(ref) for ref in self.vertices[v]}
+        types = {self.corner_type(d) for d in self.vertices[v]}
         if types == {"+-"}:
             return "sink"
         if types == {"-+"}:
@@ -425,8 +431,7 @@ class Diagram:
         """Vertices where (++) and (--) corners fail to alternate."""
         bad = []
         for v, orbit in enumerate(self.vertices):
-            heavy = [self.corner_type(ref) for ref in orbit
-                     if self.corner_type(ref) in ("++", "--")]
+            heavy = [c for c in map(self.corner_type, orbit) if c in ("++", "--")]
             if any(heavy[i] == heavy[(i + 1) % len(heavy)] for i in range(len(heavy))) \
                     and len(heavy) > 1:
                 bad.append(v)
@@ -441,9 +446,10 @@ class Diagram:
             for si in range(len(face)):
                 if (fi, si) not in weights:
                     raise DiagramError(f"missing weight for corner {(fi, si)}")
+        slot = self.slot_of_dart
         vertex_k = []
         for orbit in self.vertices:
-            vertex_k.append(Fraction(2) - sum(Fraction(weights[r]) for r in orbit))
+            vertex_k.append(Fraction(2) - sum(Fraction(weights[slot[d]]) for d in orbit))
         face_k = []
         for fi, face in enumerate(self.face_darts):
             face_k.append(Fraction(2) - sum(1 - Fraction(weights[(fi, si)])
@@ -457,7 +463,7 @@ class Diagram:
     def to_dict(self) -> dict:
         edge_dir = {str(ei): self.arrow_of_edge[ei] for ei in range(len(self.edges))}
         labels = {str(ei): lab for ei, lab in self.edge_label.items() if lab != "t"}
-        seeds = sorted(min(self.vertices[v]) for v in self.exterior_vertices)
+        seeds = sorted(self.slot_of_dart[self.vertices[v][0]] for v in self.exterior_vertices)
         corner = self.head_corner
         return {
             "ambient": {"names": list(self.ambient.group.names),
@@ -581,7 +587,7 @@ class _CanonicalLabeller:
         self.corner = [text for rec in d.face_records() for text in rec.corner_texts()]
         self.num = [str(k) for k in range(len(darts))]
         self.dart = [k + "}" for k in self.num]
-        self.ext_orbits = [[start[fi] + si for fi, si in d.vertices[v]]
+        self.ext_orbits = [[start[fi] + si for fi, si in map(d.slot_of_dart.get, d.vertices[v])]
                            for v in d.exterior_vertices]
         self.keys = (("f", self.faces), ("l", self.labels), ("p", self.pairs),
                      ("xf", self.ext_faces), ("xv", self.ext_vertices))
@@ -848,51 +854,43 @@ def curvature_weights(diagram: Diagram, pres: RelPresentation) -> WeightRuleResu
     if any(k == "exterior" for k in kinds):
         raise DiagramError("weight rule applies to diagrams without exterior faces")
 
-    neighbor_types: dict[CornerRef, tuple[str, str]] = {}
-    for v, orbit in enumerate(diagram.vertices):
-        size = len(orbit)
-        for idx, ref in enumerate(orbit):
-            prev = diagram.corner_type(orbit[(idx - 1) % size])
-            nxt = diagram.corner_type(orbit[(idx + 1) % size])
-            neighbor_types[ref] = (prev, nxt)
+    neighbor_types: dict[int, set[str]] = {}
+    for orbit in diagram.vertices:
+        types = [diagram.corner_type(d) for d in orbit]
+        for idx, d in enumerate(orbit):
+            neighbor_types[d] = {types[idx - 1], types[(idx + 1) % len(orbit)]}
 
-    special: dict[int, tuple[CornerRef, CornerRef]] = {}
+    # per special digon, the slot of its positive corner; the slot after
+    # the other pre-edge, 1 - that slot, is its negative corner
+    special: dict[int, int] = {}
     for fi, kind in enumerate(kinds):
         if kind != "digon":
             continue
-        positives = [(fi, si) for si in range(len(diagram.face_darts[fi]))
-                     if set(neighbor_types[(fi, si)]) == {"++", "--"}]
+        positives = [si for si, d in enumerate(diagram.face_darts[fi])
+                     if neighbor_types[d] == {"++", "--"}]
         if len(positives) > 1:
             raise DiagramError(f"digon {fi} has two positive corners")
         if positives:
-            pos = positives[0]
-            neg = (fi, 1 - pos[1])
-            special[fi] = (pos, neg)
+            special[fi] = positives[0]
 
     weights: dict[CornerRef, Fraction] = {}
     for fi, face in enumerate(diagram.face_darts):
-        for si in range(len(face)):
-            ref = (fi, si)
-            ctype = diagram.corner_type(ref)
+        for si, d in enumerate(face):
             if kinds[fi] == "digon":
-                if fi in special:
-                    pos, neg = special[fi]
-                    weights[ref] = Fraction(1) if ref == pos else Fraction(-1)
-                else:
-                    weights[ref] = Fraction(0)
-            elif ctype in ("++", "--"):
-                weights[ref] = Fraction(0)
+                weights[(fi, si)] = Fraction(0 if fi not in special
+                                             else 1 if si == special[fi] else -1)
+            elif diagram.corner_type(d) in ("++", "--"):
+                weights[(fi, si)] = Fraction(0)
             else:
-                weights[ref] = Fraction(1)
+                weights[(fi, si)] = Fraction(1)
 
     stats = []
     for v, orbit in enumerate(diagram.vertices):
-        n = sum(1 for ref in orbit
-                if kinds[ref[0]] == "digon" and ref[0] in special and special[ref[0]][1] == ref)
-        p = sum(1 for ref in orbit
-                if kinds[ref[0]] == "digon" and ref[0] in special and special[ref[0]][0] == ref)
-        l = sum(1 for ref in orbit
-                if kinds[ref[0]] == "large" and diagram.corner_type(ref) in ("+-", "-+"))
+        refs = [diagram.slot_of_dart[d] for d in orbit]
+        n = sum(1 for fi, si in refs if fi in special and si == 1 - special[fi])
+        p = sum(1 for fi, si in refs if fi in special and si == special[fi])
+        l = sum(1 for d, (fi, _) in zip(orbit, refs)
+                if kinds[fi] == "large" and diagram.corner_type(d) in ("+-", "-+"))
         stats.append(VertexStats(n, l, p, diagram.vertex_kind(v)))
     return WeightRuleResult(weights, tuple(stats), tuple(sorted(special)))
 

@@ -2,13 +2,13 @@
 
 A map is given by ``face_darts``, the darts of each face in anticlockwise
 order, and ``pairing``, which sends each dart to the other dart of its
-edge.  Slot ``(f, i)`` is dart ``face_darts[f][i]`` followed by the corner
-at its head.  The corner rotation sends ``(f, i)`` across the dart that
-leaves that corner, ``face_darts[f][i + 1]``, to the slot of its partner;
-vertices are the orbits of this rotation.  Orbits are listed in the order
-of their minimal ``(face, slot)`` ref, and each one starts at that ref.
-The pairing may be partial: an orbit that reaches an unpaired dart is
-open and is left out.
+edge.  Each dart is followed in its face by the corner at its head.  The
+corner rotation steps from dart ``d`` across the dart that leaves its head
+corner, the next dart of ``d``'s face, to that dart's partner; vertices
+are the orbits of this rotation, as dart cycles.  Each orbit starts at its
+dart of least ``(face, slot)`` position, and orbits are listed in that
+order.  The pairing may be partial: an orbit that reaches an unpaired
+dart is open and is left out.
 """
 
 from __future__ import annotations
@@ -18,32 +18,27 @@ from typing import Iterable, Mapping, Sequence
 CornerRef = tuple[int, int]          # (face index, slot index)
 
 
-def corner_cycles(face_darts: Sequence[Sequence[int]],
-                  pairing: Mapping[int, int]) -> list[tuple[CornerRef, ...]]:
-    """Closed orbits of the corner rotation, each from its minimal ref."""
-    slot_of = {d: (fi, si) for fi, darts in enumerate(face_darts)
-               for si, d in enumerate(darts)}
-    seen: set[CornerRef] = set()
+def vertex_cycles(face_darts: Sequence[Sequence[int]],
+                  pairing: Mapping[int, int]) -> list[tuple[int, ...]]:
+    """Closed orbits of the corner rotation, each from its first dart."""
+    after = {d: e for darts in face_darts for d, e in zip(darts, [*darts[1:], *darts[:1]])}
+    seen: set[int] = set()
     cycles = []
-    for fi, darts in enumerate(face_darts):
-        for si in range(len(darts)):
-            ref = (fi, si)
-            if ref in seen:
+    for darts in face_darts:
+        for start in darts:
+            if start in seen:
                 continue
-            seen.add(ref)
-            orbit = [ref]
-            f, s = ref
-            while True:
-                around = face_darts[f]
-                partner = pairing.get(around[(s + 1) % len(around)])
-                if partner is None:          # open orbit
+            seen.add(start)
+            orbit = [start]
+            d = pairing.get(after[start])
+            while d != start:
+                if d is None:                # open orbit
                     break
-                f, s = cur = slot_of[partner]
-                if cur == ref:
-                    cycles.append(tuple(orbit))
-                    break
-                seen.add(cur)
-                orbit.append(cur)
+                seen.add(d)
+                orbit.append(d)
+                d = pairing.get(after[d])
+            else:
+                cycles.append(tuple(orbit))
     return cycles
 
 

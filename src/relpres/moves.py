@@ -231,7 +231,7 @@ def pull_identity_edge(diagram: Diagram, edge_index: int) -> PullResult:
     ``MoveError``.
     """
     d1, d2 = diagram.edges[edge_index]
-    if diagram.edge_label[edge_index] != "1":
+    if d1 not in diagram.identity_darts:
         raise MoveError("edge label is not the identity")
     f1, i1 = diagram.slot_of_dart[d1]
     f2, i2 = diagram.slot_of_dart[d2]
@@ -460,12 +460,13 @@ def _next_move(d: Diagram, pres: RelPresentation) -> tuple[str, tuple[int, ...]]
     replace it, and ``link_labels`` a split's two pinch labels (None for
     every other move).
     """
-    ids = [ei for ei in range(len(d.edges)) if d.edge_label[ei] == "1"]
+    ids = [x for x in d.identity_darts if x < d.pairing[x]]
     if ids:
-        return "pull", min(d.edges[ei] for ei in ids)
+        low = min(ids)
+        return "pull", (low, d.pairing[low])
     red = reducible_pairs(d)
     if red:
-        ei, fa, fb = min(red, key=lambda r: d.edges[r[0]])
+        ei, fa, fb = min(red)
         kinds = (classify_face(d, pres, fa).kind, classify_face(d, pres, fb).kind)
         if kinds == ("large", "large"):
             return "fill_hole", d.edges[ei]
@@ -474,7 +475,7 @@ def _next_move(d: Diagram, pres: RelPresentation) -> tuple[str, tuple[int, ...]]
         raise MoveError(f"mixed reducible pair {kinds[0]}/{kinds[1]} at edge {ei}")
     adj = digon_adjacencies(d, pres)
     if adj:
-        return "merge_digons", min(d.edges[ei] for ei, _, _ in adj)
+        return "merge_digons", d.edges[min(adj)[0]]
     for fi, face in enumerate(d.face_darts):
         if (fi not in d.exterior_faces and len(face) == 2
                 and all(d.head_corner[x].is_identity() for x in face)
@@ -494,8 +495,8 @@ def _apply(d: Diagram, pres: RelPresentation, move: str, darts: tuple[int, ...] 
         if fi is None:
             raise MoveError(f"trace collapse_bigon darts {darts} are not a face")
     else:
-        ei = next((i for i, e in enumerate(d.edges) if e == darts), None)
-        if ei is None:
+        ei = d.edge_of_dart.get(darts[0]) if darts and type(darts[0]) is int else None
+        if ei is None or d.edges[ei] != darts:
             raise MoveError(f"trace {move} darts {darts} are not an edge")
         if move.startswith("pull"):
             res = pull_identity_edge(d, ei)
@@ -629,8 +630,7 @@ def glue_cyclic_copies(diagram: Diagram, cut_path: list[int], s: int) -> GlueRes
         raise MoveError("cut path must join the two exterior vertices")
     if len(set(visited)) != len(visited):
         raise MoveError("cut path crosses itself")
-    path_edges = [diagram.edge_of_dart[d] for d in cut_path]
-    if len(set(path_edges)) != len(path_edges):
+    if len({min(d, diagram.pairing[d]) for d in cut_path}) != len(cut_path):
         raise MoveError("cut path repeats an edge")
 
     label_a = diagram.vertex_label(visited[0])
@@ -682,8 +682,8 @@ def thicken(diagram: Diagram) -> Diagram:
     ext = ext_faces[0]
 
     ext_corner_count: dict[int, int] = {}
-    for si in range(len(diagram.face_darts[ext])):
-        v = diagram.vertex_of_corner[(ext, si)]
+    for d in diagram.face_darts[ext]:
+        v = diagram.head(d)
         ext_corner_count[v] = ext_corner_count.get(v, 0) + 1
     marked_vertices = {v for v, c in ext_corner_count.items() if c >= 2}
     marked_edges = [ei for ei, (d1, d2) in enumerate(diagram.edges)
@@ -702,7 +702,7 @@ def thicken(diagram: Diagram) -> Diagram:
             return "leaf"
         if v in diagram.exterior_vertices:
             return "pinch"
-        if any(ref[0] != ext for ref in diagram.vertices[v]):
+        if any(diagram.slot_of_dart[d][0] != ext for d in diagram.vertices[v]):
             return "pinch"   # boundary point: touches an interior face
         degree = len(diagram.vertices[v])
         return "ngon" if degree > 2 else "path"
@@ -773,7 +773,7 @@ def _build_polygon(diagram: Diagram, t: MapTables, ext: int, p: int, pending: di
     """
     orbit = diagram.vertices[p]   # cyclic corner order around p
     n = len(orbit)
-    corners = [diagram.corner(ref) for ref in orbit]
+    corners = [diagram.head_corner[d] for d in orbit]
     # side_j sits between outer vertices u_{j-1} and u_j and carries the
     # edge-end arriving between exterior corners r_{j-1} and r_j
     side_inner = [_new_dart(t) for _ in range(n)]
@@ -791,10 +791,10 @@ def _build_polygon(diagram: Diagram, t: MapTables, ext: int, p: int, pending: di
     for j in range(n):
         _add_cell(t, [(spoke_out[j], x[j]), (side_inner[j], x[j].inv()),
                       (spoke_in[(j - 1) % n], diagram.ambient.one())])
-    # the leaving dart between corners r_{j-1} and r_j gets cap side_j
-    ext_darts = diagram.face_darts[ext]
-    for j, (_, si) in enumerate(orbit):
-        pending[(p, ext_darts[(si + 1) % len(ext_darts)])] = side_outer[(j + 1) % n]
+    # the leaving dart between corners r_j and r_{j+1}, the partner of the
+    # orbit's next dart, gets cap side_{j+1}
+    for j in range(n):
+        pending[(p, diagram.pairing[orbit[(j + 1) % n]])] = side_outer[(j + 1) % n]
 
 
 def _build_strip(diagram: Diagram, t: MapTables, steps: list[int], pending: dict,
@@ -897,23 +897,19 @@ def _split_pinch(diagram: Diagram, t: MapTables, ext: int, v: int, insert_after:
     are trivial and the exterior label is unchanged after free reduction.
     """
     orbit = diagram.vertices[v]
-    ext_positions = [idx for idx, (fi, _si) in enumerate(orbit) if fi == ext]
+    ext_positions = [idx for idx, d in enumerate(orbit) if diagram.slot_of_dart[d][0] == ext]
     if len(ext_positions) != 2:
         raise MoveError(
             f"pinch point visited {len(ext_positions)} times; only double "
             "pinches are supported")
     i1, i2 = ext_positions
-    arc_after_1 = [orbit[idx] for idx in range(i1 + 1, i2)]
-    ref1 = orbit[i1]
-    ref2 = orbit[i2]
     d_b = diagram.ambient.one()
-    for fi, si in arc_after_1:
-        d_b = d_b * diagram.corner((fi, si))
+    for d in orbit[i1 + 1:i2]:
+        d_b = d_b * diagram.head_corner[d]
     ga = _new_dart(t)
     gb = _new_dart(t)
     _pair(t, ga, gb, identity=True)
-    dart1 = diagram.face_darts[ext][ref1[1]]
-    dart2 = diagram.face_darts[ext][ref2[1]]
+    dart1, dart2 = orbit[i1], orbit[i2]
     x_b = t.head_corner[dart2]
     t.head_corner[dart2] = d_b.inv()
     t.head_corner[ga] = diagram.ambient.one()

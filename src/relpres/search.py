@@ -66,7 +66,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import maps
-from .diagram import (Diagram, DiagramError, FaceRecord, Slot, curvature_weights,
+from .diagram import (Diagram, DiagramError, FaceRecord, MapTables, Slot, curvature_weights,
                       is_phi_reduced, validate_howie)
 from .freeprod import FPWord, Letters, seam_product
 from .presentation import RelPresentation, RewriteError
@@ -152,21 +152,25 @@ def _marked_survivor(pres: RelPresentation, faces, pairing: dict[int, int],
     """The glued diagram with its two poles marked exterior, or None when
     it is not a connected, valid, reduced sphere with exactly two
     nontrivially-labeled vertices.  The vertex count and the poles come
-    from the integer corner orbits, so a gluing with ``V - E + F != 2``
-    or with other than two poles builds no ``Diagram``."""
-    cycles = maps.corner_cycles([[slot.dart for slot in face] for face in faces], pairing)
-    if len(cycles) - len(pairing) // 2 + len(faces) != 2:
+    from the integer vertex cycles, so a gluing with ``V - E + F != 2``
+    or with other than two poles builds no ``Diagram``; a pole is marked
+    by its first dart."""
+    face_darts = [[slot.dart for slot in face] for face in faces]
+    cycles = maps.vertex_cycles(face_darts, pairing)
+    if len(cycles) - len(pairing) // 2 + len(face_darts) != 2:
         return None
+    corner = {slot.dart: slot.corner for face in faces for slot in face}
     poles = []
     for orbit in cycles:
         label = pres.ambient.one()
-        for fi, si in orbit:
-            label = label * faces[fi][si].corner
+        for d in orbit:
+            label = label * corner[d]
         if not label.is_identity():
             poles.append(orbit[0])
     if len(poles) != 2:
         return None
-    marked = Diagram(pres.ambient, faces, pairing, arrows, exterior_vertex_seeds=poles)
+    marked = Diagram.from_tables(MapTables(pres.ambient, face_darts, corner, pairing, set(arrows),
+                                           set(), set(poles), set()))
     if not marked.is_connected():
         return None
     if not validate_howie(marked, pres, allow_null_faces=False).ok:

@@ -74,7 +74,7 @@ def _seed_document(d: Diagram, f0: int, r0: int) -> str:
     labels = sorted((min(dart_id[x] for x in d.edges[ei]), lab)
                     for ei, lab in d.edge_label.items() if lab != "t")
     ext_vertices = sorted(
-        sorted(dart_id[d.faces[fi][si].dart] for fi, si in d.vertices[v])
+        sorted(dart_id[x] for x in d.vertices[v])
         for v in d.exterior_vertices)
     doc = {"f": faces_out, "p": pairing, "a": arrows, "l": labels,
            "xf": sorted(ext_faces), "xv": ext_vertices}
@@ -191,7 +191,7 @@ def _relabeled(d: Diagram, rng: random.Random) -> Diagram:
              for f in order]
     where = {f: i for i, f in enumerate(order)}
     seeds = [(where[fi], (si - rots[fi]) % len(d.faces[fi]))
-             for fi, si in (d.vertices[v][0] for v in d.exterior_vertices)]
+             for fi, si in (d.slot_of_dart[d.vertices[v][0]] for v in d.exterior_vertices)]
     labels = {frozenset(perm[x] for x in d.edges[ei]): lab
               for ei, lab in d.edge_label.items() if lab != "t"}
     return Diagram(d.ambient, faces, {perm[a]: perm[b] for a, b in d.pairing.items()},

@@ -11,7 +11,7 @@ from relpres.moves import (MoveError, MoveTrace, ReductionBoundExceeded,
 from fixtures import (Z3, degenerate_digon, digon_chain, disjoint_digons, dumbbell,
                       looped_pinch_pair,
                       loop_split_sphere, mirror_large_pair, path_sphere,
-                      pinch_pair, pres_z2, pres_z3, theta_digons, tripod)
+                      pinch_pair, pres_s3, pres_z2, pres_z3, theta_digons, tripod)
 
 PRES = pres_z3(2)
 AMB = PRES.ambient
@@ -47,6 +47,33 @@ class TestMergeDigons:
         out, _, _ = merge_digons(th, PRES, th.edge_of_dart[2])
         for fi in out.exterior_faces:
             assert out.face_label(fi).free_reduce() in before.values()
+
+    def test_fold_keeps_every_vertex_label_up_to_rotation(self):
+        # a and b do not commute in S3, and the exterior corners (ab)^-1 and
+        # its shifted mate are nontrivial, so both seam vertices have three
+        # nontrivial corners: folding a corner pair in the wrong order moves
+        # the label out of the vertex's rotation class
+        pres = pres_s3(2)
+        a, b = pres.ambient.from_name("a"), pres.ambient.from_name("b")
+        assert a * b != b * a
+        th = theta_digons(pres, a, b, trivial_exterior_corners=False)
+        assert [len(orbit) for orbit in th.vertices] == [3, 3]
+        out, _, _ = merge_digons(th, pres, th.edge_of_dart[2])
+
+        def rotations(d, v):
+            corners = [d.head_corner[x] for x in d.vertices[v]]
+            labels = set()
+            for i in range(len(corners)):
+                label = d.ambient.one()
+                for c in corners[i:] + corners[:i]:
+                    label = label * c
+                labels.add(label)
+            return labels
+
+        before = [rotations(th, v) for v in range(len(th.vertices))]
+        assert len(out.vertices) == len(th.vertices)
+        for v in range(len(out.vertices)):
+            assert any(out.vertex_label(v) in r for r in before)
 
     def test_requires_digons(self):
         d = mirror_large_pair(PRES)
@@ -210,7 +237,8 @@ class TestPull:
         res = pull_identity_edge(d, d.edge_of_dart[1])
         (out,) = res.diagrams
         assert res.kind == "contracted" and out.face_darts == ((0, 3),)
-        assert [out.vertices[v] for v in out.exterior_vertices] == [((0, 0),)]
+        assert [[out.slot_of_dart[x] for x in out.vertices[v]]
+                for v in out.exterior_vertices] == [[(0, 0)]]
 
     def test_loop_split(self):
         d = loop_split_sphere(PRES, X)

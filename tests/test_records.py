@@ -129,7 +129,8 @@ class TestAgainstFresh:
                           for s in face] for face in m.faces],
                         m.pairing, m.arrow_of_edge.values(),
                         {frozenset(m.edges[ei]): lab for ei, lab in m.edge_label.items()},
-                        m.exterior_faces, [m.vertices[v][0] for v in m.exterior_vertices])
+                        m.exterior_faces,
+                        [m.slot_of_dart[m.vertices[v][0]] for v in m.exterior_vertices])
             check(d, PRES)
 
 

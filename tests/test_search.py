@@ -10,7 +10,7 @@ from relpres import search
 from relpres.diagram import (Diagram, DiagramError, classify_label, is_degenerate_digon,
                              label_ending, label_from)
 from relpres.freeprod import FreeProduct
-from relpres.maps import corner_cycles
+from relpres.maps import vertex_cycles
 from relpres.presentation import initial_rewrite, minimize
 from relpres.search import (CornerLabels, EnumerationConfig, EnumerationResult, FaceTemplate,
                             LeafCheck, SearchBoundExceeded, TemplateRecord,
@@ -228,12 +228,12 @@ def _recount(faces, pairing):
     chain as first corner -> (last corner, label)."""
     face_darts = [[slot.dart for slot in face] for face in faces]
     corner = {slot.dart: slot.corner for face in faces for slot in face}
-    closed = corner_cycles(face_darts, pairing)
+    closed = vertex_cycles(face_darts, pairing)
     nontrivial = 0
     for orbit in closed:
         label = faces[0][0].corner.ambient.one()
-        for fi, si in orbit:
-            label = label * faces[fi][si].corner
+        for d in orbit:
+            label = label * corner[d]
         nontrivial += not label.is_identity()
     leaving = {d: darts[(i + 1) % len(darts)]
                for darts in face_darts for i, d in enumerate(darts)}
