@@ -17,7 +17,9 @@ sphere), hole fills and digon merges, and on a 12-digon chain, with
 every chain file and the ``--trace`` file; ``diagram validate --pres``
 and ``diagram curvature --weights uniform`` on each of those eight
 spheres, whose vertex counts and vertex curvatures in vertex order pin
-the vertex numbering; ``diagram curvature --weights rule --audit`` on
+the vertex numbering, and ``diagram validate`` on the thickened dumbbell
+with its exterior vertices unmarked, whose ``interior vertex v``
+failures name vertex indexes; ``diagram curvature --weights rule --audit`` on
 the first four-face survivor over ``pres_z3_k2`` that is not a
 degenerate digon (the weight rule does not apply to it); and
 ``search enumerate`` at three faces and ``--brute-force`` at two faces on
@@ -33,9 +35,7 @@ checked in G * Z_k; a negative ``--digon-syllables`` and
 loader with a field of the wrong type (a presentation, a diagram and a
 group table), a diagram whose ``edge_dir`` key is not an edge index, and
 two malformed ``diagram curvature --weights`` files (a list, and a float
-weight); ``diagram validate`` on the thickened dumbbell with its exterior
-vertices unmarked, whose ``interior vertex v`` failures name vertex
-indexes; and ``conjugacy oracle`` over Z/5 with k = 5 at ten syllables,
+weight); and ``conjugacy oracle`` over Z/5 with k = 5 at ten syllables,
 refused at the oracle's check bound with exit code 3 (its 11,184,784
 checks sit just above the bound, so a checkout without the bound still
 finishes the command).
@@ -135,16 +135,24 @@ def rewritten_presentations(work: str) -> None:
 
 
 def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
-    """Write spheres from ``tests/fixtures.py`` that the driver must reduce;
-    returns (name, diagram file, presentation file) triples."""
+    """Write spheres from ``tests/fixtures.py`` that the driver must reduce,
+    and the thickened dumbbell with its exterior vertices unmarked as
+    ``unmarked_dumbbell.json``, so that four of its twelve vertices fail
+    as interior; returns (name, diagram file, presentation file) triples
+    of the spheres."""
     from fixtures import (digon_chain, dumbbell, loop_split_sphere, looped_pinch_pair,
                           mirror_large_pair, pres_z3, theta_digons)
     from relpres.moves import thicken
 
     p2, p3 = pres_z3(2), pres_z3(3)
     x, y = p2.ambient.from_name("x"), p2.ambient.from_name("y")
+    thick = thicken(dumbbell(p2, x, y, [x, y, x]))
+    unmarked = thick.to_dict()
+    unmarked["exterior"]["vertex_seeds"] = []
+    with open(os.path.join(work, "unmarked_dumbbell.json"), "w", encoding="utf-8") as fh:
+        json.dump(unmarked, fh, sort_keys=True)
     spheres = [("loop-split", loop_split_sphere(p2, x), p2),
-               ("dumbbell", thicken(dumbbell(p2, x, y, [x, y, x])), p2),
+               ("dumbbell", thick, p2),
                ("theta", theta_digons(p2, x, y), p2),
                ("mirror-k2", mirror_large_pair(p2), p2),
                ("mirror-k3", mirror_large_pair(p3), p3),
@@ -163,10 +171,8 @@ def sphere_inputs(work: str) -> list[tuple[str, str, str]]:
 def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
     """Write two disjoint copies of the degenerate digon fixture, one
     file per JSON loader with a field of the wrong type, a diagram with a
-    key that is not an edge index, two malformed weight files and the
-    thickened dumbbell of ``sphere_inputs`` (which must run first) with its
-    exterior vertices unmarked, so that four of its twelve vertices fail
-    as interior; returns the commands that read them."""
+    key that is not an edge index and two malformed weight files; returns
+    the commands that read them."""
     def load(path: str):
         with open(os.path.join(work, path), encoding="utf-8") as fh:
             return json.load(fh)
@@ -183,8 +189,6 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
             "bad_diagram.json": bad_digon, "bad_group.json": {"names": 5, "table": []},
             "bad_edge_key.json": dict(load(digon), edge_dir={"x": 0}),
             "weights_list.json": [1, 1], "weights_float.json": {"0,0": 0.1, "1,0": 1}}
-    unmarked = docs["unmarked_dumbbell.json"] = load("dumbbell.json")
-    unmarked["exterior"]["vertex_seeds"] = []
     for name, doc in docs.items():
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -193,8 +197,6 @@ def bad_inputs(work: str) -> list[tuple[str, list[str]]]:
             ("bad-pres", ["conjugacy", "center", "--pres", "bad_pres.json"]),
             ("bad-diagram", ["diagram", "validate", "--in", "bad_diagram.json"]),
             ("bad-edge-key", ["diagram", "validate", "--in", "bad_edge_key.json"]),
-            ("unmarked-dumbbell", ["diagram", "validate", "--in", "unmarked_dumbbell.json",
-                                   "--pres", "dumbbell_pres.json"]),
             ("bad-group", ["word", "check", "--group", "bad_group.json", "--word", WORD]),
             ("bad-weights-list", ["diagram", "curvature", "--in", "fixtures/two_onegons.json",
                                   "--weights", "weights_list.json"]),
@@ -250,6 +252,9 @@ def main() -> None:
                                                "--pres", pres]),
                          (f"curvature-{name}", ["diagram", "curvature", "--in", infile,
                                                 "--weights", "uniform"])]
+        commands.append(("unmarked-dumbbell", ["diagram", "validate", "--in",
+                                               "unmarked_dumbbell.json", "--pres",
+                                               "dumbbell_pres.json"]))
         commands += bad_inputs(work)
         for name, argv in commands:
             try:

@@ -495,7 +495,8 @@ def _apply(d: Diagram, pres: RelPresentation, move: str, darts: tuple[int, ...] 
         if fi is None:
             raise MoveError(f"trace collapse_bigon darts {darts} are not a face")
     else:
-        ei = d.edge_of_dart.get(darts[0]) if darts and type(darts[0]) is int else None
+        ei = (d.edge_of_dart.get(darts[0])
+              if darts and all(type(x) is int for x in darts) else None)
         if ei is None or d.edges[ei] != darts:
             raise MoveError(f"trace {move} darts {darts} are not an edge")
         if move.startswith("pull"):

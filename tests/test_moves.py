@@ -362,11 +362,14 @@ class TestReduceToChain:
 
     @pytest.mark.parametrize("tamper", [
         {"before": "0" * 16}, {"edge_darts": (0, 999)}, {"edge_darts": None},
-        {"move": "collapse_bigon", "edge_darts": (0, 999)}],
-        ids=["unknown-before", "not-an-edge", "no-edge", "not-a-bigon"])
+        {"move": "collapse_bigon", "edge_darts": (0, 999)},
+        {"edge_darts": (8.0, 9)}, {"edge_darts": (8, 9.0)}],
+        ids=["unknown-before", "not-an-edge", "no-edge", "not-a-bigon",
+             "float-first-dart", "float-second-dart"])
     def test_tampered_trace_is_a_move_error(self, tamper):
         d = loop_split_sphere(PRES, X)
         _, trace = reduce_to_chain(d, PRES)
+        assert trace.entries[0].edge_darts == (8, 9)
         bad = MoveTrace((dataclasses.replace(trace.entries[0], **tamper),))
         with pytest.raises(MoveError, match="matches no chain diagram|are not"):
             replay_trace(d, PRES, bad)
